@@ -240,7 +240,7 @@ DataParallelResult DataParallelTrainer::fit(const data::Dataset& train_set,
   obs::Counter m_lost = reg.counter("dp.elastic.replicas_lost");
   obs::Counter m_aborted = reg.counter("dp.elastic.aborted_steps");
   obs::Gauge m_world = reg.gauge("dp.elastic.world");
-  if (elastic) m_world.set(static_cast<double>(n0));
+  m_world.set(static_cast<double>(n0));  // the starting world, elastic or not
 
   // Lane names precomputed: the per-step span path should not allocate
   // fresh strings every step on every replica. Lanes are per GLOBAL rank;

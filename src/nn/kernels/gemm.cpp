@@ -16,7 +16,7 @@ namespace {
 // below may select a wider-NR microkernel compiled for AVX2/AVX-512 via
 // GCC target attributes, so a portable baseline binary still runs FMA
 // kernels on hardware that has them.
-constexpr std::size_t MR = 6;
+constexpr std::size_t MR = kTileRows;
 #if defined(__AVX512F__)
 constexpr std::size_t NR_BASE = 32;
 #elif defined(__AVX__)
@@ -33,10 +33,6 @@ constexpr std::size_t NR_MAX = 32;
 constexpr std::size_t MC = 120;  // multiple of MR
 constexpr std::size_t KC = 256;
 constexpr std::size_t NC = 512;  // multiple of every NR the dispatcher picks
-
-// Parallelize only when there is enough arithmetic to amortize a pool
-// dispatch (~ a few microseconds).
-constexpr std::size_t kParallelFlopThreshold = 1u << 21;  // ~2 MFLOP
 
 inline std::size_t round_up(std::size_t x, std::size_t to) {
   return (x + to - 1) / to * to;

@@ -19,7 +19,7 @@ namespace {
 
 // Register tile. MR matches the fp32 path; NR counts *columns* (each
 // column is one s32 accumulator lane holding a 4-deep K dot product).
-constexpr std::size_t MR = 6;
+constexpr std::size_t MR = kTileRows;
 constexpr std::size_t NR_MAX = 32;  // VNNI tier: two zmm accumulator columns
 
 // Cache blocking. Int8 elements are 4x denser than fp32, so KC is 4x the
@@ -30,8 +30,6 @@ constexpr std::size_t NR_MAX = 32;  // VNNI tier: two zmm accumulator columns
 constexpr std::size_t MC = 96;
 constexpr std::size_t KC = 1024;
 constexpr std::size_t NC = 512;  // multiple of every NR the dispatcher picks
-
-constexpr std::size_t kParallelOpThreshold = 1u << 21;
 
 inline std::size_t round_up(std::size_t x, std::size_t to) {
   return (x + to - 1) / to * to;
@@ -595,7 +593,7 @@ void gemm_u8s8(std::size_t m, std::size_t n, std::size_t k, const float* a,
   }
 
   const std::size_t nthreads = max_threads();
-  const bool small = m * n < kParallelOpThreshold / (2 * k) || m < 2 * MR;
+  const bool small = m * n < kParallelFlopThreshold / (2 * k) || m < 2 * MR;
   if (nthreads <= 1 || small) {
     gemm_s8_serial(m, n, k, a, lda, a_inv_scale, a_zp, wq, ldb, c, ldc, ep,
                    prepacked);

@@ -4,8 +4,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
 
 namespace agebo::nn::kernels {
 
@@ -13,9 +17,14 @@ namespace {
 
 constexpr std::size_t kMaxPoolThreads = 16;
 
+// Resolved once: hardware_concurrency() costs microseconds per call, and
+// max_threads() sits on every GEMM dispatch.
 std::size_t hardware_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw == 0 ? 1 : hw, 1, kMaxPoolThreads);
+  static const std::size_t n = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return std::clamp<std::size_t>(hw == 0 ? 1 : hw, 1, kMaxPoolThreads);
+  }();
+  return n;
 }
 
 std::atomic<std::size_t> g_default_max{0};  // 0 = auto
@@ -62,9 +71,14 @@ class Pool {
 
  private:
   explicit Pool(std::size_t nworkers) {
+    // Workers hand their trace ring and metric shard back to the obs
+    // stores when they exit in ~Pool, so build both stores first: statics
+    // are destroyed in reverse order of construction.
+    obs::Registry::global();
+    obs::trace_now_seconds();
     workers_.reserve(nworkers);
     for (std::size_t i = 0; i < nworkers; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this, i] { worker_loop(i); });
     }
   }
 
@@ -85,7 +99,8 @@ class Pool {
     }
   }
 
-  void worker_loop() {
+  void worker_loop(std::size_t index) {
+    obs::set_thread_lane("kernels.pool-" + std::to_string(index));
     std::uint64_t seen = 0;
     while (true) {
       bool participate = false;

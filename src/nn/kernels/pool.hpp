@@ -6,7 +6,9 @@
 // Cooperation with dp::ThreadTeam: the effective thread count is read from
 // a *thread-local* limit, so DataParallelTrainer can pin its replica
 // workers to 1 kernel thread each (no oversubscription when n_procs > 1)
-// while single-replica training on the main thread still fans out.
+// while single-replica training on the main thread still fans out. The
+// serving engine uses the same limit the other way round: it makes one
+// parallel_for over row shards and runs each shard's kernels at budget 1.
 // Concurrent parallel_for() calls from different threads serialize on the
 // pool, which keeps the machine work-conserving rather than oversubscribed.
 //
@@ -20,8 +22,17 @@
 
 namespace agebo::nn::kernels {
 
-/// Process-wide default for the kernel thread budget. 0 = auto
-/// (hardware_concurrency, capped). Applies to threads with no local limit.
+/// Rows per register tile (MR) of both GEMM families. Parallel splits of
+/// the row dimension are multiples of it, so every chunk sees whole tiles.
+inline constexpr std::size_t kTileRows = 6;
+
+/// Work (flops, or int8 multiply-adds x 2) below which a split is not worth
+/// a pool dispatch (~ a few microseconds): about 2 MFLOP.
+inline constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 21;
+
+/// Process-wide default for the kernel thread budget. 0 = auto:
+/// hardware_concurrency, capped, resolved once per process (the same count
+/// the pool is sized with). Applies to threads with no local limit.
 void set_max_threads(std::size_t n);
 
 /// Effective kernel thread budget for the calling thread (>= 1): the

@@ -9,6 +9,7 @@
 #include "nn/activation.hpp"
 #include "nn/kernels/gemm.hpp"
 #include "nn/kernels/gemm_s8.hpp"
+#include "nn/kernels/pool.hpp"
 #include "nn/loss.hpp"
 #include "obs/obs.hpp"
 
@@ -36,6 +37,10 @@ const std::vector<float>& take_block(const nn::ModelArtifact& artifact,
   }
   ++at;
   return block;
+}
+
+std::size_t round_up(std::size_t x, std::size_t to) {
+  return (x + to - 1) / to * to;
 }
 
 /// Append t's [min, max] to `out` when calibration is recording.
@@ -70,7 +75,7 @@ InferenceEngine::InferenceEngine(nn::ModelArtifact artifact, EngineMode mode)
                            std::size_t base_dim) {
     Combine c;
     for (std::size_t src : skips) {
-      Edge edge{src, std::nullopt};
+      Edge edge{src, std::nullopt, std::nullopt};
       if (dims_[src] != base_dim) {
         // Width-matching projection: bias-less, one W block in params()
         // order, stored as (src_dim x base_dim) just like DenseLayer.
@@ -79,6 +84,7 @@ InferenceEngine::InferenceEngine(nn::ModelArtifact artifact, EngineMode mode)
         edge.proj.emplace();
         edge.proj->w = nn::Tensor(dims_[src], base_dim);
         edge.proj->w.v = w;
+        flops_per_row_ += 2 * w.size();
       }
       c.edges.push_back(std::move(edge));
     }
@@ -95,6 +101,7 @@ InferenceEngine::InferenceEngine(nn::ModelArtifact artifact, EngineMode mode)
       dense.w = nn::Tensor(dims_[k], ns.units);
       dense.w.v = take_block(artifact_, at, dims_[k] * ns.units, "dense W");
       dense.b = take_block(artifact_, at, ns.units, "dense bias");
+      flops_per_row_ += 2 * dense.w.v.size();
       dims_[k + 1] = ns.units;
     }
   }
@@ -103,6 +110,7 @@ InferenceEngine::InferenceEngine(nn::ModelArtifact artifact, EngineMode mode)
   output_dense_.w.v =
       take_block(artifact_, at, dims_[m] * spec.output_dim, "readout W");
   output_dense_.b = take_block(artifact_, at, spec.output_dim, "readout bias");
+  flops_per_row_ += 2 * output_dense_.w.v.size();
   if (at != artifact_.blocks.size()) {
     throw std::runtime_error(
         "InferenceEngine: artifact has " +
@@ -110,8 +118,6 @@ InferenceEngine::InferenceEngine(nn::ModelArtifact artifact, EngineMode mode)
         "the architecture consumes only " + std::to_string(at));
   }
 
-  outs_.resize(m + 1);
-  pre_act_.resize(m);
   node_quant_.resize(m);
   if (mode_ == EngineMode::kInt8) build_quantized();
 }
@@ -191,148 +197,97 @@ std::size_t InferenceEngine::num_params() const {
   return n;
 }
 
-void InferenceEngine::combine_forward(const Combine& c,
-                                      const nn::Tensor& base) const {
-  // Mirrors GraphNet::combine_forward: sum = base (+ projected skips),
-  // then ReLU into the shared combine buffer. The projection GEMM
-  // accumulates straight into the sum, exactly as DenseLayer::forward_add.
-  combine_sum_ = base;  // capacity-reusing copy
-  for (const auto& edge : c.edges) {
-    const nn::Tensor& src = outs_[edge.src];
-    if (edge.proj.has_value()) {
-      record_minmax(calib_ranges_, src);  // projection = quantizable op
-      const nn::Tensor& w = edge.proj->w;
-      nn::kernels::gemm(src.rows, w.cols, w.rows, src.v.data(), w.rows,
-                    w.v.data(), w.cols, combine_sum_.v.data(), w.cols,
-                    /*accumulate=*/true);
-    } else {
-      nn::add_inplace(combine_sum_, src);
-    }
-  }
-  nn::apply_activation(nn::Activation::kRelu, combine_sum_, combine_buf_);
-}
-
-// The quantized combine: each projection runs through the int8 kernel in
-// dequant-accumulate mode, adding straight into the running sum exactly
-// like the fp32 projection's accumulate GEMM; identity skips and the ReLU
-// are elementwise fp32, same as the fp32 path.
-void InferenceEngine::combine_forward_int8(const Combine& c,
-                                           const nn::Tensor& base) const {
-  combine_sum_ = base;  // capacity-reusing copy
-  for (const auto& edge : c.edges) {
-    const nn::Tensor& src = outs_[edge.src];
-    if (edge.proj.has_value()) {
-      const QuantLinear& q = *edge.qproj;
-      nn::kernels::QuantEpilogue qep;
-      qep.dq_scale = q.dq_scale.data();
-      qep.comp = q.comp.data();
-      qep.accumulate = true;
-      nn::kernels::gemm_u8s8(src.rows, q.cols, q.rows, src.v.data(), q.rows,
-                             q.inv_scale, q.zp, q.wq.data(), q.cols,
-                             combine_sum_.v.data(), q.cols, qep, &q.packed);
-    } else {
-      nn::add_inplace(combine_sum_, src);
-    }
-  }
-  nn::apply_activation(nn::Activation::kRelu, combine_sum_, combine_buf_);
-}
-
-void InferenceEngine::forward(const float* rows, std::size_t n) const {
-  const nn::GraphSpec& spec = artifact_.spec;
-  const std::size_t m = spec.nodes.size();
-  nn::ensure_shape(outs_[0], n, spec.input_dim);
-  std::memcpy(outs_[0].v.data(), rows, n * spec.input_dim * sizeof(float));
-
-  for (std::size_t k = 0; k < m; ++k) {
-    const nn::Tensor* node_input = &outs_[k];
-    if (node_combine_[k].active()) {
-      combine_forward(node_combine_[k], outs_[k]);
-      node_input = &combine_buf_;
-    }
-    if (spec.nodes[k].is_identity) {
-      outs_[k + 1] = *node_input;  // combine_buf_ is reused; must copy
-    } else {
-      record_minmax(calib_ranges_, *node_input);
-      // Same fused GEMM the trainer uses: bias + activation epilogue with
-      // the pre-activation staged alongside, so the arithmetic (and hence
-      // every output bit) matches GraphNet::forward.
-      const Linear& dense = *node_dense_[k];
-      nn::ensure_shape(pre_act_[k], n, dense.w.cols);
-      nn::ensure_shape(outs_[k + 1], n, dense.w.cols);
-      nn::kernels::Epilogue ep;
-      ep.bias = dense.b.data();
-      ep.act = spec.nodes[k].act;
-      ep.pre_act = pre_act_[k].v.data();
-      nn::kernels::gemm(n, dense.w.cols, dense.w.rows, node_input->v.data(),
-                    dense.w.rows, dense.w.v.data(), dense.w.cols,
-                    outs_[k + 1].v.data(), dense.w.cols,
-                    /*accumulate=*/false, &ep);
-    }
-  }
-
-  const nn::Tensor* readout_input = &outs_[m];
-  if (output_combine_.active()) {
-    combine_forward(output_combine_, outs_[m]);
-    readout_input = &combine_buf_;
-  }
-  record_minmax(calib_ranges_, *readout_input);
-  nn::ensure_shape(logits_, n, spec.output_dim);
-  nn::kernels::Epilogue ep;
-  ep.bias = output_dense_.b.data();
-  nn::kernels::gemm(n, output_dense_.w.cols, output_dense_.w.rows,
-                readout_input->v.data(), output_dense_.w.rows,
-                output_dense_.w.v.data(), output_dense_.w.cols,
-                logits_.v.data(), output_dense_.w.cols,
-                /*accumulate=*/false, &ep);
-}
-
-// The quantized replay of forward(): identical graph traversal and fp32
-// interchange buffers, but every GEMM — dense nodes, skip projections, and
-// the readout — runs through the int8 kernel: activations quantized while
+// One frozen dense op: out = in·W (+ bias, activation), or out += in·W
+// when `accumulate` (skip projections, which have no bias). In fp32 mode
+// this is GraphNet::forward's exact kernel call: the fused epilogue stages
+// the pre-activation like the trainer, and an accumulate GEMM adds straight
+// into the combine sum like DenseLayer::forward_add. In kInt8 mode (`q`
+// set) the same op runs through gemm_u8s8: activations quantized while
 // the A panel packs, s32 accumulation, fused dequant + bias + activation
-// back to fp32. Only the elementwise stages (combine sum/ReLU, identity
-// copies, softmax) stay on fp32 code.
-void InferenceEngine::forward_int8(const float* rows, std::size_t n) const {
+// back to fp32.
+void InferenceEngine::gemm_op(const Linear& op,
+                              const std::optional<QuantLinear>& q,
+                              nn::Activation act, const nn::Tensor& in,
+                              nn::Tensor& out, nn::Tensor* pre_act,
+                              bool accumulate, Ranges* calib) const {
+  const std::size_t n = in.rows;
+  const std::size_t cols = op.w.cols;
+  if (!accumulate) nn::ensure_shape(out, n, cols);
+  const float* bias = op.b.empty() ? nullptr : op.b.data();
+  if (q.has_value()) {
+    nn::kernels::QuantEpilogue qep;
+    qep.dq_scale = q->dq_scale.data();
+    qep.comp = q->comp.data();
+    qep.bias = bias;
+    qep.act = act;
+    qep.accumulate = accumulate;
+    nn::kernels::gemm_u8s8(n, cols, q->rows, in.v.data(), q->rows,
+                           q->inv_scale, q->zp, q->wq.data(), cols,
+                           out.v.data(), cols, qep, &q->packed);
+    return;
+  }
+  record_minmax(calib, in);  // every fp32 GEMM input is a quantizable op
+  nn::kernels::Epilogue ep;
+  ep.bias = bias;
+  ep.act = act;
+  if (pre_act != nullptr) {
+    nn::ensure_shape(*pre_act, n, cols);
+    ep.pre_act = pre_act->v.data();
+  }
+  nn::kernels::gemm(n, cols, op.w.rows, in.v.data(), op.w.rows,
+                    op.w.v.data(), cols, out.v.data(), cols, accumulate,
+                    accumulate ? nullptr : &ep);
+}
+
+// Mirrors GraphNet::combine_forward: sum = base (+ projected skips), then
+// ReLU into the shared combine buffer. Identity skips and the ReLU are
+// elementwise fp32 in both modes.
+const nn::Tensor& InferenceEngine::combine_forward(Scratch& s,
+                                                   const Combine& c,
+                                                   const nn::Tensor& base,
+                                                   Ranges* calib) const {
+  s.combine_sum = base;  // capacity-reusing copy
+  for (const auto& edge : c.edges) {
+    const nn::Tensor& src = s.outs[edge.src];
+    if (edge.proj.has_value()) {
+      gemm_op(*edge.proj, edge.qproj, nn::Activation::kIdentity, src,
+              s.combine_sum, nullptr, /*accumulate=*/true, calib);
+    } else {
+      nn::add_inplace(s.combine_sum, src);
+    }
+  }
+  nn::apply_activation(nn::Activation::kRelu, s.combine_sum, s.combine_buf);
+  return s.combine_buf;
+}
+
+void InferenceEngine::forward(Scratch& s, const float* rows, std::size_t n,
+                              Ranges* calib) const {
   const nn::GraphSpec& spec = artifact_.spec;
   const std::size_t m = spec.nodes.size();
-  nn::ensure_shape(outs_[0], n, spec.input_dim);
-  std::memcpy(outs_[0].v.data(), rows, n * spec.input_dim * sizeof(float));
-
-  auto quant_gemm = [&](const QuantLinear& q, const Linear& dense,
-                        nn::Activation act, const nn::Tensor& in,
-                        nn::Tensor& out) {
-    nn::ensure_shape(out, n, q.cols);
-    nn::kernels::QuantEpilogue qep;
-    qep.dq_scale = q.dq_scale.data();
-    qep.comp = q.comp.data();
-    qep.bias = dense.b.data();
-    qep.act = act;
-    nn::kernels::gemm_u8s8(n, q.cols, q.rows, in.v.data(), q.rows,
-                           q.inv_scale, q.zp, q.wq.data(), q.cols,
-                           out.v.data(), q.cols, qep, &q.packed);
-  };
+  s.outs.resize(m + 1);
+  s.pre_act.resize(m);
+  nn::ensure_shape(s.outs[0], n, spec.input_dim);
+  std::memcpy(s.outs[0].v.data(), rows, n * spec.input_dim * sizeof(float));
 
   for (std::size_t k = 0; k < m; ++k) {
-    const nn::Tensor* node_input = &outs_[k];
+    const nn::Tensor* node_input = &s.outs[k];
     if (node_combine_[k].active()) {
-      combine_forward_int8(node_combine_[k], outs_[k]);
-      node_input = &combine_buf_;
+      node_input = &combine_forward(s, node_combine_[k], s.outs[k], calib);
     }
     if (spec.nodes[k].is_identity) {
-      outs_[k + 1] = *node_input;  // combine_buf_ is reused; must copy
+      s.outs[k + 1] = *node_input;  // combine_buf is reused; must copy
     } else {
-      quant_gemm(*node_quant_[k], *node_dense_[k], spec.nodes[k].act,
-                 *node_input, outs_[k + 1]);
+      gemm_op(*node_dense_[k], node_quant_[k], spec.nodes[k].act, *node_input,
+              s.outs[k + 1], &s.pre_act[k], /*accumulate=*/false, calib);
     }
   }
 
-  const nn::Tensor* readout_input = &outs_[m];
+  const nn::Tensor* readout_input = &s.outs[m];
   if (output_combine_.active()) {
-    combine_forward_int8(output_combine_, outs_[m]);
-    readout_input = &combine_buf_;
+    readout_input = &combine_forward(s, output_combine_, s.outs[m], calib);
   }
-  quant_gemm(*output_quant_, output_dense_, nn::Activation::kIdentity,
-             *readout_input, logits_);
+  gemm_op(output_dense_, output_quant_, nn::Activation::kIdentity,
+          *readout_input, s.logits, nullptr, /*accumulate=*/false, calib);
 }
 
 nn::ModelArtifact InferenceEngine::quantized_artifact(const float* rows,
@@ -345,10 +300,14 @@ nn::ModelArtifact InferenceEngine::quantized_artifact(const float* rows,
     throw std::runtime_error(
         "quantized_artifact: need at least one calibration row");
   }
-  std::vector<std::pair<float, float>> ranges;
-  calib_ranges_ = &ranges;
-  forward(rows, n);
-  calib_ranges_ = nullptr;
+  // Ranges must span all n rows, so calibration runs as a single shard on
+  // the calling thread.
+  Ranges ranges;
+  {
+    nn::kernels::ScopedThreadLimit serial(1);
+    Scratch s;
+    forward(s, rows, n, &ranges);
+  }
 
   // Same traversal order as build_quantized / the calibration recording:
   // per node, projection edges then the dense op; output projections; the
@@ -379,40 +338,72 @@ nn::ModelArtifact InferenceEngine::quantized_artifact(const float* rows,
   return out;
 }
 
+std::size_t InferenceEngine::shard_count(std::size_t n) const {
+  // A shard below the kernels' own parallel grain, or below one register
+  // tile of rows, costs more in fork-join than it saves.
+  const std::size_t by_work =
+      n * flops_per_row_ / nn::kernels::kParallelFlopThreshold;
+  const std::size_t shards = std::min(
+      {nn::kernels::max_threads(), n / nn::kernels::kTileRows, by_work});
+  return std::max<std::size_t>(shards, 1);
+}
+
+// The one predict path. Rows split into contiguous shards of whole
+// register tiles; each shard runs the full forward pass serially on its own
+// scratch, so the batch costs one pool collective instead of one per GEMM.
+// Kernel results depend only on a row's own inputs, so every output bit is
+// the same for any shard count or schedule. One shard runs inline.
+void InferenceEngine::run(const float* rows, std::size_t n, float* out,
+                          bool probabilities) const {
+  if (n == 0) return;
+  const bool int8 = mode_ == EngineMode::kInt8;
+  OBS_SPAN(int8 ? "serve.quantized.infer" : "serve.infer",
+           {{"rows", std::to_string(n)}});
+  const std::size_t want = shard_count(n);
+  const std::size_t per =
+      round_up((n + want - 1) / want, nn::kernels::kTileRows);
+  const std::size_t shards = (n + per - 1) / per;
+  if (scratch_.size() < shards) scratch_.resize(shards);
+
+  struct Job {
+    const float* rows;
+    float* out;
+    std::size_t n, per;
+    bool probabilities;
+  } job{rows, out, n, per, probabilities};
+  // Two captures keep the std::function free of heap allocation.
+  nn::kernels::parallel_for(shards, [this, &job](std::size_t i) {
+    nn::kernels::ScopedThreadLimit serial(1);
+    const std::size_t r0 = i * job.per;
+    const std::size_t rn = std::min(job.per, job.n - r0);
+    Scratch& s = scratch_[i];
+    forward(s, job.rows + r0 * input_dim(), rn, nullptr);
+    const nn::Tensor* result = &s.logits;
+    if (job.probabilities) {
+      nn::softmax(s.logits, s.probs);
+      result = &s.probs;
+    }
+    std::memcpy(job.out + r0 * output_dim(), result->v.data(),
+                rn * output_dim() * sizeof(float));
+  });
+
+  if (probabilities) {
+    static const auto fp32_predictions =
+        obs::Registry::global().counter("serve.predictions");
+    static const auto int8_predictions =
+        obs::Registry::global().counter("serve.quantized.predictions");
+    (int8 ? int8_predictions : fp32_predictions).add(n);
+  }
+}
+
 void InferenceEngine::predict_logits(const float* rows, std::size_t n,
                                      float* out) const {
-  if (n == 0) return;
-  if (mode_ == EngineMode::kInt8) {
-    OBS_SPAN("serve.quantized.infer", {{"rows", std::to_string(n)}});
-    forward_int8(rows, n);
-  } else {
-    OBS_SPAN("serve.infer", {{"rows", std::to_string(n)}});
-    forward(rows, n);
-  }
-  std::memcpy(out, logits_.v.data(), logits_.v.size() * sizeof(float));
+  run(rows, n, out, /*probabilities=*/false);
 }
 
 void InferenceEngine::predict_batch(const float* rows, std::size_t n,
                                     float* out) const {
-  if (n == 0) return;
-  if (mode_ == EngineMode::kInt8) {
-    OBS_SPAN("serve.quantized.infer", {{"rows", std::to_string(n)}});
-    forward_int8(rows, n);
-    nn::softmax(logits_, probs_);
-    std::memcpy(out, probs_.v.data(), probs_.v.size() * sizeof(float));
-    static const auto predictions =
-        obs::Registry::global().counter("serve.quantized.predictions");
-    predictions.add(n);
-    return;
-  }
-  OBS_SPAN("serve.infer",
-           {{"rows", std::to_string(n)}});
-  forward(rows, n);
-  nn::softmax(logits_, probs_);
-  std::memcpy(out, probs_.v.data(), probs_.v.size() * sizeof(float));
-  static const auto predictions =
-      obs::Registry::global().counter("serve.predictions");
-  predictions.add(n);
+  run(rows, n, out, /*probabilities=*/true);
 }
 
 InferenceEngine load_engine(const std::string& path, EngineMode mode) {

@@ -21,11 +21,29 @@
 //
 // Inference-only by construction: no Rng, no gradient buffers, no cached
 // inputs for backprop. Every per-call buffer (node outputs, pre-activation
-// staging, combine scratch, logits, probabilities) is a persistent member
-// reused across calls, so steady-state predict_batch performs zero
-// allocations. `const` on the predict entry points is logical — the scratch
-// is mutable — so concurrent calls on one engine must be serialized; the
-// MicroBatcher (batcher.hpp) is the intended high-throughput front end.
+// staging, combine scratch, logits, probabilities) lives in a persistent
+// per-shard Scratch reused across calls, so steady-state predict_batch
+// performs zero allocations.
+//
+// Threading: parallelism is over rows, not inside GEMMs. The search
+// space's layers are too narrow to split, so predict_batch/predict_logits
+// cut the batch into contiguous shards of whole register tiles and make
+// one kernels::parallel_for over them — one pool collective per batch.
+// Each shard runs the whole forward pass (fp32 or int8) serially under
+// ScopedThreadLimit(1) on its own Scratch, indexed by shard rather than by
+// thread. The shard count is derived, never configured:
+//   min(max_threads(), rows / kTileRows,
+//       rows * flops_per_row / kParallelFlopThreshold),
+// so small batches and small genomes stay on one shard, run inline. Every
+// kernel result depends only on its own row, so outputs are bitwise
+// identical for any shard count, thread budget or schedule.
+// quantized_artifact calibrates as a single shard on the calling thread,
+// so its ranges cover all calibration rows.
+//
+// `const` on the predict entry points is logical — the scratch is mutable
+// — so concurrent calls on one engine must be serialized (separate
+// engines may run concurrently); the MicroBatcher (batcher.hpp) is the
+// intended high-throughput front end.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +53,7 @@
 #include <vector>
 
 #include "common/predictor.hpp"
+#include "nn/activation.hpp"
 #include "nn/kernels/gemm_s8.hpp"
 #include "nn/quant.hpp"
 #include "nn/serialize.hpp"
@@ -111,11 +130,35 @@ class InferenceEngine final : public Predictor {
     bool active() const { return !edges.empty(); }
   };
 
+  /// One shard's forward-pass buffers: node outputs, pre-activation
+  /// staging, combine scratch, logits and probabilities. Capacity-reusing,
+  /// so a steady-state predict allocates nothing.
+  struct Scratch {
+    std::vector<nn::Tensor> outs;
+    std::vector<nn::Tensor> pre_act;
+    nn::Tensor combine_sum;
+    nn::Tensor combine_buf;
+    nn::Tensor logits;
+    nn::Tensor probs;
+  };
+  /// Calibration record: each quantizable GEMM's input [min, max], in
+  /// quantizable-op order.
+  using Ranges = std::vector<std::pair<float, float>>;
+
   void build_quantized();
-  void combine_forward(const Combine& c, const nn::Tensor& base) const;
-  void combine_forward_int8(const Combine& c, const nn::Tensor& base) const;
-  void forward(const float* rows, std::size_t n) const;       // fills logits_
-  void forward_int8(const float* rows, std::size_t n) const;  // fills logits_
+  void gemm_op(const Linear& op, const std::optional<QuantLinear>& q,
+               nn::Activation act, const nn::Tensor& in, nn::Tensor& out,
+               nn::Tensor* pre_act, bool accumulate, Ranges* calib) const;
+  const nn::Tensor& combine_forward(Scratch& s, const Combine& c,
+                                    const nn::Tensor& base,
+                                    Ranges* calib) const;
+  /// Full forward pass over n rows into s.logits; records GEMM input
+  /// ranges into `calib` when non-null (fp32 only).
+  void forward(Scratch& s, const float* rows, std::size_t n,
+               Ranges* calib) const;
+  std::size_t shard_count(std::size_t n) const;
+  void run(const float* rows, std::size_t n, float* out,
+           bool probabilities) const;
 
   nn::ModelArtifact artifact_;  // kept for spec/metadata introspection
   EngineMode mode_ = EngineMode::kFp32;
@@ -126,17 +169,12 @@ class InferenceEngine final : public Predictor {
   Linear output_dense_;
   std::vector<std::optional<QuantLinear>> node_quant_;
   std::optional<QuantLinear> output_quant_;
+  std::size_t flops_per_row_ = 0;  // all GEMMs of one row's forward pass
 
-  // Reused inference scratch (see header comment on const semantics).
-  mutable std::vector<nn::Tensor> outs_;
-  mutable std::vector<nn::Tensor> pre_act_;
-  mutable nn::Tensor combine_sum_;
-  mutable nn::Tensor combine_buf_;
-  mutable nn::Tensor logits_;
-  mutable nn::Tensor probs_;
-  // Calibration hook: when non-null, the fp32 forward records each
-  // quantizable GEMM's input [min, max] here in quantizable-op order.
-  mutable std::vector<std::pair<float, float>>* calib_ranges_ = nullptr;
+  // One Scratch per shard, indexed by shard (never by thread), grown on
+  // the calling thread before the shards fan out. Mutable: see the header
+  // comment on const semantics.
+  mutable std::vector<Scratch> scratch_;
 };
 
 /// Load an artifact file and build an engine for it.

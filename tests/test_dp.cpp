@@ -16,6 +16,7 @@
 #include "nn/graph_net.hpp"
 #include "nn/loss.hpp"
 #include "nn/trainer.hpp"
+#include "obs/registry.hpp"
 
 namespace agebo::dp {
 namespace {
@@ -169,6 +170,27 @@ TEST(DataParallel, ReplicasStayInLockstep) {
   EXPECT_GT(result.global_steps, 0u);
   // Identical averaged gradients + identical Adam state => bitwise lockstep.
   EXPECT_EQ(trainer.max_replica_divergence(), 0.0f);
+}
+
+// dp.elastic.world reports the training world size whether or not elastic
+// membership is on (it used to read 0 for every non-elastic fit).
+TEST(DataParallel, ElasticWorldGaugeReadsStartingWorldWhenElasticIsOff) {
+  const auto ds = dp_dataset(400);
+  Rng split_rng(4);
+  auto splits = data::split(ds, data::SplitFractions{}, split_rng);
+
+  DataParallelConfig cfg;
+  cfg.n_procs = 3;
+  cfg.lr1 = 0.005;
+  cfg.bs1 = 16;
+  cfg.epochs = 1;
+  ASSERT_FALSE(cfg.elastic.enabled);
+  DataParallelTrainer trainer(dp_net_spec(), cfg);
+  trainer.fit(splits.train, splits.valid);
+  const auto snap = obs::Registry::global().snapshot();
+  const auto* world = snap.find("dp.elastic.world");
+  ASSERT_NE(world, nullptr);
+  EXPECT_EQ(world->value, 3.0);
 }
 
 TEST(DataParallel, LockstepHoldsForTreeAllreduce) {

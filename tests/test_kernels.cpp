@@ -5,7 +5,12 @@
 // kernels`.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "data/synthetic.hpp"
@@ -17,6 +22,7 @@
 #include "nn/kernels/workspace.hpp"
 #include "nn/tensor.hpp"
 #include "nn/trainer.hpp"
+#include "obs/span.hpp"
 
 namespace {
 
@@ -246,6 +252,24 @@ TEST(Kernels, ParallelForCoversAllChunksOnce) {
                         [&](std::size_t c) { hits[c] += 1; });
   kernels::set_max_threads(0);
   for (std::size_t c = 0; c < hits.size(); ++c) EXPECT_EQ(hits[c], 1);
+}
+
+// Pool workers trace on "kernels.pool-<i>" lanes, not anonymous
+// "thread-<n>" ones. Chunks the calling thread claims keep its own lane.
+TEST(Kernels, PoolWorkersTraceOnNamedLanes) {
+  const std::string caller = obs::thread_lane();
+  std::mutex mu;
+  std::set<std::string> lanes;
+  kernels::set_max_threads(4);
+  kernels::parallel_for(64, [&](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    std::lock_guard<std::mutex> lock(mu);
+    lanes.insert(obs::thread_lane());
+  });
+  kernels::set_max_threads(0);
+  for (const auto& lane : lanes) {
+    if (lane != caller) EXPECT_EQ(lane.rfind("kernels.pool-", 0), 0u) << lane;
+  }
 }
 
 TEST(Kernels, ScopedThreadLimitForcesInline) {

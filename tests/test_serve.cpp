@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "nas/search_space.hpp"
 #include "nn/graph_net.hpp"
+#include "nn/kernels/pool.hpp"
 #include "nn/loss.hpp"
 #include "nn/serialize.hpp"
 #include "nn/tensor.hpp"
@@ -320,6 +321,151 @@ TEST_F(MicroBatcherTest, StopIsIdempotent) {
   serve::MicroBatcher batcher(*engine_);
   batcher.stop();
   batcher.stop();
+}
+
+// --- Row-sharded batch inference ------------------------------------------
+// predict_batch/predict_logits split rows into shards that each run the
+// whole forward pass serially; these gates hold the outputs to the
+// row-by-row path bit for bit, for every thread budget and batch size.
+
+// Restores the process-wide kernel budget when a test ends.
+struct ThreadBudget {
+  explicit ThreadBudget(std::size_t n) { nn::kernels::set_max_threads(n); }
+  ~ThreadBudget() { nn::kernels::set_max_threads(0); }
+};
+
+// An fp32 engine and its calibrated int8 twin for one sampled genome, plus
+// the source network (for GraphNet::forward references).
+struct ShardedEngines {
+  std::string key;
+  std::unique_ptr<nn::GraphNet> net;
+  std::unique_ptr<serve::InferenceEngine> fp32;
+  std::unique_ptr<serve::InferenceEngine> int8;
+};
+
+constexpr std::size_t kShardD = 54;
+constexpr std::size_t kShardC = 7;
+constexpr std::size_t kShardMaxRows = 1000;
+
+std::vector<ShardedEngines> sharded_engines(Rng& rng,
+                                            const std::vector<float>& calib) {
+  nas::SearchSpace space;
+  std::vector<ShardedEngines> out;
+  for (int trial = 0; trial < 5; ++trial) {
+    const auto genome = space.random(rng);
+    ShardedEngines e;
+    e.key = nas::SearchSpace::key(genome);
+    e.net = std::make_unique<nn::GraphNet>(
+        space.to_graph_spec(genome, kShardD, kShardC), rng);
+    const nn::ModelArtifact artifact = nn::freeze_graphnet(*e.net);
+    e.fp32 = std::make_unique<serve::InferenceEngine>(artifact);
+    e.int8 = std::make_unique<serve::InferenceEngine>(
+        serve::quantize_artifact(artifact, calib.data(), 256),
+        serve::EngineMode::kInt8);
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+// One row at a time: always a single shard, so this is the reference the
+// sharded batches must reproduce.
+std::vector<float> row_by_row(const serve::InferenceEngine& engine,
+                              const std::vector<float>& rows, std::size_t n,
+                              bool logits) {
+  const std::size_t d = engine.input_dim();
+  const std::size_t c = engine.output_dim();
+  std::vector<float> out(n * c);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (logits) {
+      engine.predict_logits(rows.data() + i * d, 1, out.data() + i * c);
+    } else {
+      engine.predict_batch(rows.data() + i * d, 1, out.data() + i * c);
+    }
+  }
+  return out;
+}
+
+TEST(ServeSharding, BatchesMatchRowByRowForEveryBudgetAndSize) {
+  Rng rng(41);
+  const auto rows = random_rows(kShardMaxRows, kShardD, rng);
+  const auto engines = sharded_engines(rng, rows);
+  ASSERT_GE(engines.size(), 4u);
+  for (const auto& e : engines) {
+    for (const serve::InferenceEngine* engine : {e.fp32.get(), e.int8.get()}) {
+      const bool int8 = engine->mode() == serve::EngineMode::kInt8;
+      const auto want_probs = row_by_row(*engine, rows, kShardMaxRows, false);
+      const auto want_logits = row_by_row(*engine, rows, kShardMaxRows, true);
+      for (std::size_t threads : {1u, 2u, 3u, 4u}) {
+        ThreadBudget budget(threads);
+        for (std::size_t n : {1u, 2u, 7u, 25u, 257u, 1000u}) {
+          std::vector<float> probs(n * kShardC);
+          std::vector<float> logits(n * kShardC);
+          engine->predict_batch(rows.data(), n, probs.data());
+          engine->predict_logits(rows.data(), n, logits.data());
+          EXPECT_EQ(0, std::memcmp(want_probs.data(), probs.data(),
+                                   probs.size() * sizeof(float)))
+              << "predict_batch " << (int8 ? "int8" : "fp32") << " genome "
+              << e.key << " threads=" << threads << " n=" << n;
+          EXPECT_EQ(0, std::memcmp(want_logits.data(), logits.data(),
+                                   logits.size() * sizeof(float)))
+              << "predict_logits " << (int8 ? "int8" : "fp32") << " genome "
+              << e.key << " threads=" << threads << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(ServeSharding, Fp32LogitsMatchGraphNetForwardAcrossBudgets) {
+  Rng rng(43);
+  const std::size_t n = 257;
+  const auto rows = random_rows(kShardMaxRows, kShardD, rng);
+  const auto engines = sharded_engines(rng, rows);
+  nn::Tensor x(n, kShardD);
+  std::memcpy(x.v.data(), rows.data(), n * kShardD * sizeof(float));
+  for (const auto& e : engines) {
+    for (std::size_t threads : {1u, 2u, 4u}) {
+      ThreadBudget budget(threads);
+      const nn::Tensor& want = e.net->forward(x);
+      std::vector<float> got(n * kShardC);
+      e.fp32->predict_logits(rows.data(), n, got.data());
+      EXPECT_EQ(0, std::memcmp(want.v.data(), got.data(),
+                               got.size() * sizeof(float)))
+          << "genome " << e.key << " threads=" << threads;
+    }
+  }
+}
+
+// Separate engines on separate threads share only the kernel pool, whose
+// collectives serialize; each keeps its own shard scratch.
+TEST(ServeSharding, ConcurrentEnginesStayBitwiseIdentical) {
+  Rng rng(47);
+  const std::size_t n = 257;
+  const auto rows = random_rows(kShardMaxRows, kShardD, rng);
+  const auto engines = sharded_engines(rng, rows);
+  const serve::InferenceEngine* pair[] = {engines[0].fp32.get(),
+                                          engines[1].int8.get()};
+  std::vector<float> want[2];
+  for (int t = 0; t < 2; ++t) {
+    want[t].resize(n * kShardC);
+    pair[t]->predict_batch(rows.data(), n, want[t].data());
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      std::vector<float> got(n * kShardC);
+      for (int iter = 0; iter < 40; ++iter) {
+        pair[t]->predict_batch(rows.data(), n, got.data());
+        if (std::memcmp(want[t].data(), got.data(),
+                        got.size() * sizeof(float)) != 0) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
