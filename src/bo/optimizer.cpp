@@ -1,7 +1,6 @@
 #include "bo/optimizer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -12,25 +11,6 @@
 namespace agebo::bo {
 
 namespace {
-
-/// Observes the enclosing scope's duration into a latency histogram —
-/// how ask/tell cost shows up in `obs` snapshots (p50/p99 per call).
-class ScopedLatency {
- public:
-  explicit ScopedLatency(obs::Histogram h)
-      : h_(h), t0_(std::chrono::steady_clock::now()) {}
-  ~ScopedLatency() {
-    h_.observe(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0_)
-                   .count());
-  }
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  obs::Histogram h_;
-  std::chrono::steady_clock::time_point t0_;
-};
 
 ml::ForestConfig surrogate_config(const BoConfig& cfg) {
   ml::ForestConfig fc;
@@ -60,7 +40,7 @@ void AskTellOptimizer::tell(const std::vector<Point>& points,
   if (points.size() != objectives.size()) {
     throw std::invalid_argument("tell: size mismatch");
   }
-  ScopedLatency lat(obs::Registry::global().histogram("bo.tell_seconds"));
+  obs::ScopedLatency lat(obs::Registry::global().histogram("bo.tell_seconds"));
   OBS_SPAN("bo.tell", {{"points", std::to_string(points.size())}});
   for (std::size_t i = 0; i < points.size(); ++i) {
     space_.validate(points[i]);
@@ -142,7 +122,7 @@ Point AskTellOptimizer::acquire(double best_observed) {
 }
 
 std::vector<Point> AskTellOptimizer::ask(std::size_t k) {
-  ScopedLatency lat(obs::Registry::global().histogram("bo.ask_seconds"));
+  obs::ScopedLatency lat(obs::Registry::global().histogram("bo.ask_seconds"));
   OBS_SPAN("bo.ask", {{"k", std::to_string(k)}});
   std::vector<Point> out;
   out.reserve(k);

@@ -1,6 +1,6 @@
 #include "bo/sharded_optimizer.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -9,23 +9,6 @@
 namespace agebo::bo {
 
 namespace {
-
-class ScopedLatency {
- public:
-  explicit ScopedLatency(obs::Histogram h)
-      : h_(h), t0_(std::chrono::steady_clock::now()) {}
-  ~ScopedLatency() {
-    h_.observe(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0_)
-                   .count());
-  }
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  obs::Histogram h_;
-  std::chrono::steady_clock::time_point t0_;
-};
 
 [[noreturn]] void bad_state(const std::string& detail) {
   throw std::runtime_error("ShardedBo::load_state: " + detail);
@@ -97,7 +80,7 @@ void ShardedBo::ingest(Shard& s) {
   m_depth_.set(static_cast<double>(s.queue.approx_size()));
   auto items = s.queue.drain();
   if (items.empty()) return;
-  ScopedLatency lat(m_tell_);
+  obs::ScopedLatency lat(m_tell_);
   std::vector<Point> points;
   std::vector<double> objectives;
   points.reserve(items.size());
@@ -117,7 +100,7 @@ void ShardedBo::gossip(std::size_t shard) {
   Shard& s = *shards_[shard];
   if (cfg_.gossip_every == 0 || shards_.size() < 2) return;
   if (s.since_gossip < cfg_.gossip_every) return;
-  ScopedLatency lat(m_merge_);
+  obs::ScopedLatency lat(m_merge_);
   const std::size_t fanout =
       std::min(cfg_.gossip_fanout, shards_.size() - 1);
   for (std::size_t f = 0; f < fanout; ++f) {
@@ -145,7 +128,7 @@ std::vector<Point> ShardedBo::ask(std::size_t shard, std::size_t k) {
   Shard& s = *shards_.at(shard);
   ingest(s);
   gossip(shard);
-  ScopedLatency lat(m_ask_);
+  obs::ScopedLatency lat(m_ask_);
   return s.opt.ask(k);
 }
 
@@ -267,6 +250,22 @@ void ShardedBo::load_state(std::istream& is) {
     }
     s.opt.restore_incremental_state(fit);
   }
+}
+
+void ShardedBo::restore_one_shard(const std::vector<Point>& points,
+                                  const std::vector<double>& objectives,
+                                  const Rng::State& rng) {
+  if (shards_.size() != 1 || !shards_[0]->local_log.empty()) {
+    throw std::logic_error(
+        "ShardedBo::restore_one_shard: needs a fresh one-shard instance");
+  }
+  Shard& s = *shards_[0];
+  s.opt.restore(points, objectives, rng);
+  s.local_log.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    s.local_log.push_back(TellItem{points[i], objectives[i]});
+  }
+  s.since_gossip = points.size();
 }
 
 }  // namespace agebo::bo

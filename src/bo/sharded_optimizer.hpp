@@ -84,6 +84,14 @@ class ShardedBo {
   /// Restore into a freshly constructed ShardedBo with the same space and
   /// config. Throws std::runtime_error on malformed or mismatched input.
   void load_state(std::istream& is);
+  /// Restore a one-shard instance from a bare optimizer's tell log + rng
+  /// (the legacy centralized checkpoint): shard 0 ends up exactly as an
+  /// uninterrupted one-shard run that ingested the same tells — optimizer
+  /// log and rng, local log = those tells, gossip counter = their count.
+  /// Throws std::logic_error unless shards() == 1 and nothing was told yet.
+  void restore_one_shard(const std::vector<Point>& points,
+                         const std::vector<double>& objectives,
+                         const Rng::State& rng);
 
  private:
   struct TellItem {

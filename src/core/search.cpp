@@ -1,7 +1,6 @@
 #include "core/search.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -37,31 +36,25 @@ AgeboSearch::AgeboSearch(const nas::SearchSpace& space, SearchConfig cfg)
     if (cfg_.hp_space.size() == 0) {
       throw std::invalid_argument("SearchConfig: use_bo without hp_space");
     }
-    bo::BoConfig bo_cfg = cfg_.bo;
-    bo_cfg.seed = cfg_.seed * 31 + 7;
-    if (cfg_.bo_shards > 0) {
-      bo::ShardedBoConfig scfg;
-      scfg.shards = cfg_.bo_shards;
-      scfg.gossip_every = cfg_.bo_gossip_every;
-      scfg.bo = bo_cfg;
-      if (cfg_.bo_shards > 1) {
-        // Decentralized fast path (DESIGN.md §15): at >= 2 shards the
-        // legacy defaults (full refit, constant liar) are upgraded to the
-        // incremental surrogate + qUCB batching — one cheap refit per
-        // shard ask instead of one full-forest refit per picked point.
-        // shards=1 keeps the legacy modes so its trajectory is bit-for-bit
-        // the centralized one.
-        if (scfg.bo.refit == bo::RefitMode::kFull) {
-          scfg.bo.refit = bo::RefitMode::kIncremental;
-        }
-        if (scfg.bo.batch == bo::BatchMode::kConstantLiar) {
-          scfg.bo.batch = bo::BatchMode::kQUcb;
-        }
+    bo::ShardedBoConfig scfg;
+    scfg.shards = std::max<std::size_t>(1, cfg_.bo_shards);
+    scfg.gossip_every = cfg_.bo_gossip_every;
+    scfg.bo = cfg_.bo;
+    scfg.bo.seed = cfg_.seed * 31 + 7;
+    if (scfg.shards > 1) {
+      // Decentralized fast path (DESIGN.md §15): at >= 2 shards the
+      // paper's defaults (full refit, constant liar) are upgraded to the
+      // incremental surrogate + qUCB batching — one cheap refit per shard
+      // ask instead of one full-forest refit per picked point. One shard
+      // keeps the paper's modes: it is the centralized manager.
+      if (scfg.bo.refit == bo::RefitMode::kFull) {
+        scfg.bo.refit = bo::RefitMode::kIncremental;
       }
-      sharded_ = std::make_unique<bo::ShardedBo>(cfg_.hp_space, scfg);
-    } else {
-      optimizer_.emplace(cfg_.hp_space, bo_cfg);
+      if (scfg.bo.batch == bo::BatchMode::kConstantLiar) {
+        scfg.bo.batch = bo::BatchMode::kQUcb;
+      }
     }
+    bo_ = std::make_unique<bo::ShardedBo>(cfg_.hp_space, scfg);
   } else if (cfg_.fixed_hparams.empty()) {
     throw std::invalid_argument("SearchConfig: fixed mode needs fixed_hparams");
   }
@@ -90,7 +83,7 @@ eval::ModelConfig AgeboSearch::make_child(const std::vector<bo::Point>& next,
   }
   if (population_.size() >= cfg_.population_size) {
     // Lines 16-18: sample S members, pick the best, mutate one decision.
-    const auto t0 = std::chrono::steady_clock::now();
+    obs::ScopedLatency lat(m_mutate_hist_);
     const auto idx =
         rng_.sample_without_replacement(population_.size(), cfg_.sample_size);
     std::size_t best = idx[0];
@@ -98,9 +91,6 @@ eval::ModelConfig AgeboSearch::make_child(const std::vector<bo::Point>& next,
       if (population_[k].objective > population_[best].objective) best = k;
     }
     child.genome = space_->mutate(population_[best].genome, rng_);
-    m_mutate_hist_.observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
   } else {
     // Line 20: random while the population is filling.
     child.genome = space_->random(rng_);
@@ -141,16 +131,12 @@ void AgeboSearch::apply_warm_start() {
     }
   }
   if (!prior_points.empty()) {
-    if (sharded_) {
-      // Warm-start tells land on shard 0 (one batched tell, exactly the
-      // centralized call); at >= 2 shards gossip spreads them from there.
-      for (std::size_t i = 0; i < prior_points.size(); ++i) {
-        sharded_->enqueue_tell(0, prior_points[i], prior_objectives[i]);
-      }
-      sharded_->drain(0);
-    } else {
-      optimizer_->tell(prior_points, prior_objectives);
+    // Warm-start tells land on shard 0 as one batched tell; at >= 2 shards
+    // gossip spreads them from there.
+    for (std::size_t i = 0; i < prior_points.size(); ++i) {
+      bo_->enqueue_tell(0, prior_points[i], prior_objectives[i]);
     }
+    bo_->drain(0);
   }
 }
 
@@ -166,34 +152,41 @@ std::vector<EvalTicket> AgeboSearch::start(std::size_t n_init) {
   if (n_init == 0) {
     throw std::invalid_argument("AgeboSearch::start: zero initial submissions");
   }
-  std::vector<bo::Point> init_hp;
-  if (cfg_.use_bo) {
-    if (sharded_) {
-      // Initial submission i belongs to shard i % S: each shard asks its
-      // own slice (ascending shard order, one ask per shard), then the
-      // slices interleave back into submission order. At shards=1 this is
-      // one ask(n_init) — the centralized call.
-      const std::size_t S = sharded_->shards();
-      std::vector<std::vector<bo::Point>> asked(S);
-      for (std::size_t s = 0; s < S; ++s) {
-        const std::size_t c = n_init / S + (s < n_init % S ? 1 : 0);
-        if (c > 0) asked[s] = sharded_->ask(s, c);
-      }
-      std::vector<std::size_t> pos(S, 0);
-      init_hp.reserve(n_init);
-      for (std::size_t i = 0; i < n_init; ++i) {
-        const std::size_t s = i % S;
-        init_hp.push_back(std::move(asked[s][pos[s]++]));
-      }
-    } else {
-      init_hp = optimizer_->ask(n_init);
+  // Initial submission i belongs to shard i % S.
+  const std::size_t S = bo_ ? bo_->shards() : 1;
+  std::vector<std::size_t> shards(n_init);
+  for (std::size_t i = 0; i < n_init; ++i) shards[i] = i % S;
+  return spawn(shards);
+}
+
+std::vector<EvalTicket> AgeboSearch::spawn(
+    const std::vector<std::size_t>& shards) {
+  const std::size_t n = shards.size();
+  std::vector<bo::Point> hp;
+  if (bo_) {
+    // Each shard asks for exactly as many points as it owns slots (one
+    // ask per shard, ascending shard order) and the replies interleave
+    // back into slot order. At one shard this is a single ask(n) — the
+    // paper's centralized call.
+    const std::size_t S = bo_->shards();
+    std::vector<std::size_t> count(S, 0);
+    for (const std::size_t s : shards) ++count[s];
+    std::vector<std::vector<bo::Point>> asked(S);
+    for (std::size_t s = 0; s < S; ++s) {
+      if (count[s] > 0) asked[s] = bo_->ask(s, count[s]);
+    }
+    std::vector<std::size_t> pos(S, 0);
+    hp.reserve(n);
+    for (const std::size_t s : shards) {
+      hp.push_back(std::move(asked[s][pos[s]++]));
     }
   }
+  // One child per slot (make_child: lines 14-23 of Algorithm 1).
   std::vector<EvalTicket> out;
-  out.reserve(n_init);
-  for (std::size_t i = 0; i < n_init; ++i) {
-    EvalTicket t = make_ticket(make_child(init_hp, i));
-    if (sharded_) ticket_shard_[t.ticket] = i % sharded_->shards();
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EvalTicket t = make_ticket(make_child(hp, i));
+    if (bo_) ticket_shard_[t.ticket] = shards[i];
     out.push_back(std::move(t));
   }
   return out;
@@ -266,7 +259,7 @@ std::vector<EvalTicket> AgeboSearch::step(const std::vector<EvalDone>& done,
     const eval::ModelConfig config = std::move(it->second.config);
     outstanding_.erase(it);
     std::size_t shard = 0;
-    if (sharded_) {
+    if (bo_) {
       auto sit = ticket_shard_.find(d.ticket);
       if (sit == ticket_shard_.end()) {
         throw std::logic_error("AgeboSearch::step: ticket without shard " +
@@ -277,53 +270,24 @@ std::vector<EvalTicket> AgeboSearch::step(const std::vector<EvalDone>& done,
     }
     if (d.finish_time > cfg_.wall_time_seconds) continue;  // past budget
     ingest(d, config, told_points, told_objectives);
-    if (sharded_) done_shards.push_back(shard);
+    done_shards.push_back(shard);
   }
   if (now >= cfg_.wall_time_seconds) return {};
   const std::size_t n_new = told_objectives.size();
   if (n_new == 0) return {};
 
-  // Lines 12-13: tell/ask |results| hyperparameter configurations.
-  std::vector<bo::Point> next;
-  if (cfg_.use_bo) {
-    if (sharded_) {
-      // Each completion is told back to the shard that asked it; the
-      // tells go through the shards' lock-free queues (in delivery
-      // order), then every shard with completions asks for exactly that
-      // many replacements. Ask order is ascending by shard, replies
-      // interleave back into delivery order. At shards=1 this is one
-      // batched tell + one ask(n_new) — the centralized call sequence.
-      for (std::size_t i = 0; i < n_new; ++i) {
-        sharded_->enqueue_tell(done_shards[i], told_points[i],
-                               told_objectives[i]);
-      }
-      const std::size_t S = sharded_->shards();
-      std::vector<std::size_t> count(S, 0);
-      for (const std::size_t s : done_shards) ++count[s];
-      std::vector<std::vector<bo::Point>> asked(S);
-      for (std::size_t s = 0; s < S; ++s) {
-        if (count[s] > 0) asked[s] = sharded_->ask(s, count[s]);
-      }
-      std::vector<std::size_t> pos(S, 0);
-      next.reserve(n_new);
-      for (std::size_t i = 0; i < n_new; ++i) {
-        const std::size_t s = done_shards[i];
-        next.push_back(std::move(asked[s][pos[s]++]));
-      }
-    } else {
-      optimizer_->tell(told_points, told_objectives);
-      next = optimizer_->ask(n_new);
+  // Lines 12-13: tell/ask |results| hyperparameter configurations. Each
+  // completion is told back to the shard that asked it through the
+  // shards' lock-free queues (in delivery order); each shard ingests them
+  // as one batched tell at its next ask, and its replacement children
+  // take the completions' slots. At one shard this is one batched tell +
+  // one ask(|results|) — the paper's centralized call sequence.
+  if (bo_) {
+    for (std::size_t i = 0; i < n_new; ++i) {
+      bo_->enqueue_tell(done_shards[i], told_points[i], told_objectives[i]);
     }
   }
-  // Lines 14-23: generate |results| children.
-  std::vector<EvalTicket> out;
-  out.reserve(n_new);
-  for (std::size_t i = 0; i < n_new; ++i) {
-    EvalTicket t = make_ticket(make_child(next, i));
-    if (sharded_) ticket_shard_[t.ticket] = done_shards[i];
-    out.push_back(std::move(t));
-  }
-  return out;
+  return spawn(done_shards);
 }
 
 SearchResult AgeboSearch::result() const {
@@ -461,26 +425,14 @@ void AgeboSearch::save_state(std::ostream& os) const {
     (void)id;
     write_ticket(os, t);
   }
-  os << "bo " << (optimizer_.has_value() ? 1 : 0) << '\n';
-  if (optimizer_.has_value()) {
-    state::write_rng(os, optimizer_->rng_state());
-    os << '\n';
-    const auto& points = optimizer_->tell_log_points();
-    const auto& objectives = optimizer_->tell_log_objectives();
-    os << "tells " << points.size() << '\n';
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      os << "tell " << objectives[i] << ' ';
-      state::write_point(os, points[i]);
-      os << '\n';
-    }
-  }
-  // Sharded-BO section: present exactly when the config is sharded, so
-  // centralized checkpoints (including all pre-§15 files) keep their byte
-  // layout and a sharded search never reads past a centralized blob when
-  // the service embeds several blobs in one stream.
-  if (sharded_) {
+  // "bo 1" marks the legacy centralized-optimizer blob, which is read
+  // (load_state) but no longer written. Every BO search writes the
+  // sharded-BO section instead; AgE writes none, so a search never reads
+  // past its own blob when the service embeds several in one stream.
+  os << "bo 0\n";
+  if (bo_) {
     os << "shards 1\n";
-    sharded_->save_state(os);
+    bo_->save_state(os);
     os << "ticket-shards " << ticket_shard_.size() << '\n';
     for (const auto& [id, shard] : ticket_shard_) {
       os << "ts " << id << ' ' << shard << '\n';
@@ -549,11 +501,14 @@ void AgeboSearch::load_state(std::istream& is) {
     outstanding_.emplace(id, std::move(t));
   }
 
-  const bool has_bo = state::read_flag(is, "bo", what);
-  if (has_bo != optimizer_.has_value()) {
-    state::fail(what, "BO flag mismatch with this search's config");
-  }
-  if (has_bo) {
+  if (state::read_flag(is, "bo", what)) {
+    // Frozen reader for the legacy centralized blob (rng + tell log),
+    // written while one-shard searches still ran a bare optimizer. It
+    // restores the one shard to the state an uninterrupted run holds, and
+    // every outstanding ticket belongs to that shard.
+    if (!bo_ || bo_->shards() != 1) {
+      state::fail(what, "BO flag mismatch with this search's config");
+    }
     const Rng::State bo_rng = state::read_rng(is, what);
     const std::size_t n_tells = state::read_count(is, "tells", what);
     std::vector<bo::Point> points;
@@ -567,20 +522,26 @@ void AgeboSearch::load_state(std::istream& is) {
       objectives.push_back(obj);
       points.push_back(state::read_point(is, what));
     }
-    optimizer_->restore(points, objectives, bo_rng);
-  }
-  if (sharded_) {
+    bo_->restore_one_shard(points, objectives, bo_rng);
+    ticket_shard_.clear();
+    for (const auto& [id, t] : outstanding_) {
+      (void)t;
+      ticket_shard_.emplace(id, 0);
+    }
+  } else if (bo_) {
     if (!state::read_flag(is, "shards", what)) {
       state::fail(what, "missing sharded-BO section");
     }
-    sharded_->load_state(is);
+    bo_->load_state(is);
     const std::size_t n_ts = state::read_count(is, "ticket-shards", what);
     ticket_shard_.clear();
     for (std::size_t i = 0; i < n_ts; ++i) {
       state::expect_key(is, "ts", what);
       std::uint64_t id = 0;
       std::size_t shard = 0;
-      if (!(is >> id >> shard)) state::fail(what, "truncated ticket shard");
+      if (!(is >> id >> shard) || shard >= bo_->shards()) {
+        state::fail(what, "bad ticket shard");
+      }
       ticket_shard_.emplace(id, shard);
     }
     if (ticket_shard_.size() != outstanding_.size()) {

@@ -28,10 +28,8 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "bo/optimizer.hpp"
 #include "bo/sharded_optimizer.hpp"
 #include "eval/evaluation.hpp"
 #include "exec/executor.hpp"
@@ -112,12 +110,11 @@ struct SearchConfig {
   bo::BoConfig bo;                    ///< kappa etc.
   bo::Point fixed_hparams;            ///< used when !use_bo
   /// Decentralized BO (DESIGN.md §15): shard the optimizer into bo_shards
-  /// per-worker-group optimizers exchanging tells via gossip. 0 keeps the
-  /// single centralized optimizer; 1 runs the sharded machinery in its
-  /// degenerate mode, which reproduces the centralized trajectory
-  /// bit-for-bit. At >= 2 shards the per-shard optimizers default to the
-  /// incremental-refit + qUCB fast path (unless the BoConfig was
-  /// explicitly overridden).
+  /// per-worker-group optimizers exchanging tells via gossip. 0 and 1 both
+  /// mean one shard — the paper's centralized manager: one batched tell and
+  /// one ask(|results|) per step. At >= 2 shards the per-shard optimizers
+  /// default to the incremental-refit + qUCB fast path (unless the BoConfig
+  /// was explicitly overridden).
   std::size_t bo_shards = 0;
   /// Local tells between gossip merges (ShardedBoConfig::gossip_every).
   /// 4 is the empirical sweet spot on the simulated campaigns: frequent
@@ -225,15 +222,18 @@ class AgeboSearch {
               std::vector<bo::Point>& told_points,
               std::vector<double>& told_objectives);
 
+  /// Ask the BO shards for one point per entry of `shards` (the shard
+  /// that owns that slot) and emit one child ticket per entry.
+  std::vector<EvalTicket> spawn(const std::vector<std::size_t>& shards);
+
   const nas::SearchSpace* space_;
   eval::Evaluator* evaluator_ = nullptr;   // owning mode only
   exec::Executor* executor_ = nullptr;     // owning mode only
   SearchConfig cfg_;
   Rng rng_;
-  std::optional<bo::AskTellOptimizer> optimizer_;
-  std::unique_ptr<bo::ShardedBo> sharded_;  // cfg.bo_shards > 0
+  std::unique_ptr<bo::ShardedBo> bo_;  // cfg.use_bo only
   /// Shard that asked each outstanding ticket's hyperparameters — its
-  /// completion is told back to the same shard (sharded mode only).
+  /// completion is told back to the same shard (use_bo only).
   std::map<std::uint64_t, std::size_t> ticket_shard_;
   std::deque<Member> population_;
   std::vector<EvalRecord> history_;

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,33 @@ inline double backoff_delay(const RetryPolicy& policy, std::size_t attempt) {
   double delay = policy.backoff_base_seconds;
   for (std::size_t i = 1; i < attempt; ++i) delay *= 2.0;
   return std::min(delay, policy.backoff_max_seconds);
+}
+
+/// Kill deadline (seconds after the attempt starts) for one attempt of a
+/// job, or +inf: the job's own timeout, tightened by the straggler rule
+/// once `sorted_durations` (successful attempt durations, ascending) holds
+/// straggler_min_samples entries. Both executors enforce this one rule.
+inline double attempt_limit(const RetryPolicy& policy, const JobSpec& spec,
+                            const std::vector<double>& sorted_durations) {
+  double limit = std::numeric_limits<double>::infinity();
+  if (spec.timeout_seconds > 0.0) limit = spec.timeout_seconds;
+  const std::size_t n = sorted_durations.size();
+  if (policy.straggler_factor > 0.0 &&
+      n >= std::max<std::size_t>(1, policy.straggler_min_samples)) {
+    const double median =
+        0.5 * (sorted_durations[(n - 1) / 2] + sorted_durations[n / 2]);
+    limit = std::min(limit, policy.straggler_factor * median);
+  }
+  return limit;
+}
+
+/// Record one successful attempt duration, keeping `sorted_durations`
+/// ascending for attempt_limit's running median.
+inline void record_duration(std::vector<double>& sorted_durations,
+                            double seconds) {
+  sorted_durations.insert(std::lower_bound(sorted_durations.begin(),
+                                           sorted_durations.end(), seconds),
+                          seconds);
 }
 
 /// Jittered backoff delay for a specific job. Deterministic: the jitter

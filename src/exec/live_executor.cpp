@@ -61,20 +61,6 @@ double LiveExecutor::now() const {
       .count();
 }
 
-double LiveExecutor::attempt_limit_locked(const JobSpec& spec) const {
-  double limit = std::numeric_limits<double>::infinity();
-  if (spec.timeout_seconds > 0.0) limit = spec.timeout_seconds;
-  if (policy_.straggler_factor > 0.0 &&
-      done_durations_.size() >=
-          std::max<std::size_t>(1, policy_.straggler_min_samples)) {
-    const std::size_t n = done_durations_.size();
-    const double median =
-        0.5 * (done_durations_[(n - 1) / 2] + done_durations_[n / 2]);
-    limit = std::min(limit, policy_.straggler_factor * median);
-  }
-  return limit;
-}
-
 void LiveExecutor::start_attempt_locked(std::uint64_t id, double delay_seconds) {
   Job& job = jobs_.at(id);
   const std::size_t attempt = job.attempt;
@@ -141,9 +127,7 @@ void LiveExecutor::start_attempt_locked(std::uint64_t id, double delay_seconds) 
       Job& j = it->second;
       if (out.train_seconds <= 0.0) out.train_seconds = t1 - t0;
       if (!out.failed) {
-        done_durations_.insert(std::lower_bound(done_durations_.begin(),
-                                                done_durations_.end(), t1 - t0),
-                               t1 - t0);
+        record_duration(done_durations_, t1 - t0);
         finished_.push_back(Finished{id, out, t1, j.attempt, j.spec.tag});
         jobs_.erase(it);
         m_succeeded_.inc();
@@ -193,7 +177,7 @@ void LiveExecutor::reap_expired_locked() {
   std::vector<std::uint64_t> expired;
   for (const auto& [id, job] : jobs_) {
     if (!job.started || job.cancel->load()) continue;
-    const double limit = attempt_limit_locked(job.spec);
+    const double limit = attempt_limit(policy_, job.spec, done_durations_);
     if (t - job.start_time > limit) expired.push_back(id);
   }
   for (const std::uint64_t id : expired) {
@@ -234,7 +218,7 @@ std::vector<Finished> LiveExecutor::get_finished(bool block) {
     for (const auto& [id, job] : jobs_) {
       (void)id;
       if (!job.started || job.cancel->load()) continue;
-      const double limit = attempt_limit_locked(job.spec);
+      const double limit = attempt_limit(policy_, job.spec, done_durations_);
       if (limit < std::numeric_limits<double>::infinity()) {
         next_deadline = std::min(next_deadline, job.start_time + limit);
       }

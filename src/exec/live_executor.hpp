@@ -64,9 +64,6 @@ class LiveExecutor final : public Executor {
   /// Kill attempts past their deadline; retry or report them. Caller holds
   /// mu_.
   void reap_expired_locked();
-  /// Kill deadline (relative seconds) for one attempt, or +inf. Caller
-  /// holds mu_.
-  double attempt_limit_locked(const JobSpec& spec) const;
 
   std::chrono::steady_clock::time_point start_;
   RetryPolicy policy_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -57,19 +56,6 @@ SimulatedExecutor::SimulatedExecutor(std::size_t n_workers,
   busy_baseline_ = m_busy_.total();
 }
 
-double SimulatedExecutor::attempt_limit(const JobSpec& spec) const {
-  double limit = std::numeric_limits<double>::infinity();
-  if (spec.timeout_seconds > 0.0) limit = spec.timeout_seconds;
-  if (policy_.straggler_factor > 0.0 &&
-      done_durations_.size() >= std::max<std::size_t>(1, policy_.straggler_min_samples)) {
-    const std::size_t n = done_durations_.size();
-    const double median =
-        0.5 * (done_durations_[(n - 1) / 2] + done_durations_[n / 2]);
-    limit = std::min(limit, policy_.straggler_factor * median);
-  }
-  return limit;
-}
-
 obs::DCounter& SimulatedExecutor::tenant_counter(const std::string& tenant) {
   auto it = tenant_busy_.find(tenant);
   if (it == tenant_busy_.end()) {
@@ -79,12 +65,6 @@ obs::DCounter& SimulatedExecutor::tenant_counter(const std::string& tenant) {
              .first;
   }
   return it->second;
-}
-
-void SimulatedExecutor::record_duration(double seconds) {
-  done_durations_.insert(
-      std::lower_bound(done_durations_.begin(), done_durations_.end(), seconds),
-      seconds);
 }
 
 void SimulatedExecutor::claim_gang(std::size_t width) {
@@ -147,7 +127,7 @@ std::uint64_t SimulatedExecutor::submit(EvalFn fn, const JobSpec& spec) {
     if (fault == FaultKind::kHang) duration *= kHangFactor;
     if (fault == FaultKind::kSlow) duration *= injector_.config().slow_factor;
 
-    const double limit = attempt_limit(spec);
+    const double limit = attempt_limit(policy_, spec, done_durations_);
     const bool killed = duration > limit;
     const double consumed = std::min(duration, limit);
     const bool attempt_failed =
@@ -195,7 +175,7 @@ std::uint64_t SimulatedExecutor::submit(EvalFn fn, const JobSpec& spec) {
     if (!attempt_failed) {
       EvalOutput out = base;
       out.train_seconds = consumed;
-      record_duration(consumed);
+      record_duration(done_durations_, consumed);
       events_.push(Event{finish, id, out, attempt, spec.tag});
       m_succeeded_.inc();
       break;

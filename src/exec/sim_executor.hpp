@@ -80,16 +80,12 @@ class SimulatedExecutor final : public Executor {
     }
   };
 
-  /// Effective kill deadline (relative seconds) for one attempt, or +inf.
-  double attempt_limit(const JobSpec& spec) const;
   /// Claim the `width` earliest-free workers into gang_scratch_. width==1
   /// (the paper's single-node campaigns, and every worker of a 10k-worker
   /// simulation) is a plain argmin scan — no index vector, no partial
   /// sort; wider gangs partial-sort a reused scratch vector. Both pick
   /// ties by lowest worker index.
   void claim_gang(std::size_t width);
-  /// Record one successful attempt duration for the straggler median.
-  void record_duration(double seconds);
   /// Credit `exec.busy_seconds` with worker-busy time that elapsed while
   /// the virtual clock moved (old_clock, clock_] — the obs-counter
   /// replacement for the old query-time interval clipping, so simulated

@@ -14,6 +14,7 @@
 // the delta — see exec::SimulatedExecutor::utilization().
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -86,6 +87,26 @@ class Histogram {
   friend class Registry;
   explicit Histogram(const MetricInfo* info) : info_(info) {}
   const MetricInfo* info_ = nullptr;
+};
+
+/// Observes the enclosing scope's duration, in seconds, into a latency
+/// histogram — how ask/tell/mutate cost shows up in snapshots (p50/p99 per
+/// call).
+class ScopedLatency {
+ public:
+  explicit ScopedLatency(Histogram h)
+      : h_(h), t0_(std::chrono::steady_clock::now()) {}
+  ~ScopedLatency() {
+    h_.observe(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                             t0_)
+                   .count());
+  }
+  ScopedLatency(const ScopedLatency&) = delete;
+  ScopedLatency& operator=(const ScopedLatency&) = delete;
+
+ private:
+  Histogram h_;
+  std::chrono::steady_clock::time_point t0_;
 };
 
 /// Aggregated histogram state in a Snapshot.

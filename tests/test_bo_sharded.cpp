@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -265,6 +266,74 @@ TEST(ShardedBo, GossipZeroKeepsShardsIsolated) {
 
 // --- shards=1 ≡ centralized (the acceptance gate) -------------------------
 
+// Unit-level reference: the search's only BO path is a ShardedBo, so the
+// bare AskTellOptimizer is the independent reference for the one-shard
+// case. Same BoConfig and seed, the manager's call sequence (a warm-start
+// batch, then one batched tell + one ask(k) per step): every asked point,
+// the observation count, the rng words and the tell logs must match.
+TEST(ShardedBo, OneShardMatchesBareOptimizer) {
+  bo::ParamSpace space = bo::ParamSpace::paper_space();
+  bo::ShardedBoConfig cfg;
+  cfg.shards = 1;
+  cfg.bo.n_initial_random = 6;
+  cfg.bo.n_candidates = 48;
+  cfg.bo.n_trees = 6;
+  cfg.bo.seed = 17;
+  bo::ShardedBo sharded(space, cfg);
+  bo::AskTellOptimizer bare(space, cfg.bo);
+
+  auto expect_same_state = [&](const std::string& where) {
+    const bo::AskTellOptimizer& opt = sharded.optimizer(0);
+    EXPECT_EQ(sharded.n_observed(0), bare.n_observed()) << where;
+    EXPECT_EQ(opt.tell_log_points(), bare.tell_log_points()) << where;
+    EXPECT_EQ(opt.tell_log_objectives(), bare.tell_log_objectives()) << where;
+    const Rng::State a = opt.rng_state();
+    const Rng::State b = bare.rng_state();
+    for (int w = 0; w < 4; ++w) EXPECT_EQ(a.s[w], b.s[w]) << where;
+    EXPECT_EQ(a.has_cached_normal, b.has_cached_normal) << where;
+    EXPECT_EQ(std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)),
+              0)
+        << where;
+  };
+
+  // Warm start: one batched tell of prior records before any ask.
+  Rng rng(5);
+  std::vector<bo::Point> prior;
+  std::vector<double> prior_y;
+  for (int i = 0; i < 4; ++i) {
+    prior.push_back(space.sample(rng));
+    prior_y.push_back(toy_objective(prior.back()));
+  }
+  for (std::size_t i = 0; i < prior.size(); ++i) {
+    sharded.enqueue_tell(0, prior[i], prior_y[i]);
+  }
+  sharded.drain(0);
+  bare.tell(prior, prior_y);
+  expect_same_state("warm start");
+
+  std::vector<bo::Point> pending = sharded.ask(0, 5);
+  ASSERT_EQ(pending, bare.ask(5));
+  // Steps: the first few finished points come back as one batch, the
+  // manager asks for as many replacements. Batch sizes cycle 1..3 so the
+  // random phase, the surrogate phase and multi-point liar batches all run.
+  for (std::size_t step = 0; step < 12; ++step) {
+    const std::size_t k = 1 + step % 3;
+    std::vector<bo::Point> batch(pending.begin(), pending.begin() + k);
+    pending.erase(pending.begin(), pending.begin() + k);
+    std::vector<double> ys;
+    for (const auto& p : batch) ys.push_back(toy_objective(p));
+    for (std::size_t i = 0; i < k; ++i) {
+      sharded.enqueue_tell(0, batch[i], ys[i]);
+    }
+    bare.tell(batch, ys);
+    const std::vector<bo::Point> asked = sharded.ask(0, k);
+    ASSERT_EQ(asked, bare.ask(k)) << "step " << step;
+    expect_same_state("step " + std::to_string(step));
+    pending.insert(pending.end(), asked.begin(), asked.end());
+  }
+  EXPECT_EQ(sharded.n_local(0), bare.n_observed());
+}
+
 core::SearchResult run_small_campaign(std::size_t bo_shards,
                                       std::uint64_t seed) {
   nas::SearchSpace space;
@@ -352,6 +421,28 @@ TEST(ShardedBo, LoadStateRejectsConfigMismatch) {
   bo::ShardedBo three(space, small_sharded_config(3, 2));
   std::istringstream is(os.str());
   EXPECT_THROW(three.load_state(is), std::runtime_error);
+}
+
+// A ticket's shard indexes the search's shard array on its completion, so
+// a checkpoint naming a shard the config does not have must be rejected at
+// load, not read out of bounds at the next step.
+TEST(ShardedSearch, LoadStateRejectsOutOfRangeTicketShard) {
+  nas::SearchSpace space;
+  const core::SearchConfig cfg = core::config_by_name("agebo-d2", 3);
+  core::AgeboSearch search(space, cfg);
+  search.start(4);
+  std::ostringstream os;
+  search.save_state(os);
+  std::string text = os.str();
+  const std::size_t ts = text.find("\nts ");
+  ASSERT_NE(ts, std::string::npos);
+  const std::size_t end = text.find('\n', ts + 1);
+  const std::size_t shard = text.rfind(' ', end);
+  text.replace(shard + 1, end - shard - 1, "2");
+
+  core::AgeboSearch fresh(space, cfg);
+  std::istringstream is(text);
+  EXPECT_THROW(fresh.load_state(is), std::runtime_error);
 }
 
 // The svc acceptance path: a sharded campaign checkpointed mid-flight and

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -450,8 +451,12 @@ TEST(SvcRegistry, RejectsDuplicateCampaignNames) {
 // at the release that introduced each section. Current code must keep
 // loading them: a change that breaks these tests breaks every checkpoint
 // users have on disk and needs a versioned migration, not a silent format
-// edit.
-void expect_golden_loads(const std::string& fixture) {
+// edit. Loading is not enough: the resumed campaign must finish on exactly
+// the trajectory of an uninterrupted run of the same spec, which is what
+// pins the frozen centralized-BO reader (`bo 1`) to the optimizer state
+// that wrote it.
+void expect_golden_loads(const std::string& fixture,
+                         const std::string& variant) {
   const std::string path = std::string(AGEBO_FIXTURE_DIR) + "/" + fixture;
   nas::SearchSpace space;
   svc::SvcConfig cfg;
@@ -461,18 +466,61 @@ void expect_golden_loads(const std::string& fixture) {
   registry.load_checkpoint(path);
   ASSERT_EQ(registry.n_campaigns(), 1u);
   EXPECT_GT(registry.now(), 0.0);
+  const std::size_t n_loaded = registry.campaign(0).history().size();
+  // Completions the v1 file already resolved: its history rows plus the
+  // simulator's pending completion events (`event <finish_time> ...`; the
+  // campaign starts at t=0, so its clock is the executor's).
+  std::set<double> v1_events;
+  {
+    std::istringstream lines(svc::read_file(path));
+    std::string line;
+    while (std::getline(lines, line)) {
+      std::istringstream fields(line);
+      std::string key;
+      double finish = 0.0;
+      if ((fields >> key >> finish) && key == "event") v1_events.insert(finish);
+    }
+  }
+  ASSERT_FALSE(v1_events.empty());
   // The resumed service must be able to finish the campaign it loaded.
   EXPECT_TRUE(registry.run());
   EXPECT_TRUE(registry.campaign_done(0));
   EXPECT_FALSE(registry.campaign(0).history().empty());
+
+  // The spec the fixture header names, run in-process without a stop.
+  svc::CampaignSpec spec = agebo_spec("campaign", "default", 41, 30.0);
+  spec.variant = variant;
+  svc::CampaignRegistry uninterrupted(cfg, space);
+  uninterrupted.add_campaign(spec);
+  EXPECT_TRUE(uninterrupted.run());
+
+  const auto& a = uninterrupted.campaign(0).history();
+  const auto& b = registry.campaign(0).history();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_LT(n_loaded, b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].index, b[i].index) << "record " << i;
+    EXPECT_EQ(a[i].objective, b[i].objective) << "record " << i;
+    EXPECT_EQ(a[i].finish_time, b[i].finish_time) << "record " << i;
+    EXPECT_EQ(a[i].train_seconds, b[i].train_seconds) << "record " << i;
+    EXPECT_EQ(a[i].failed, b[i].failed) << "record " << i;
+    EXPECT_EQ(a[i].attempts, b[i].attempts) << "record " << i;
+    EXPECT_EQ(a[i].degraded, b[i].degraded) << "record " << i;
+    // v1 history rows and completion events predate the final_world field.
+    if (i >= n_loaded && v1_events.count(b[i].finish_time) == 0) {
+      EXPECT_EQ(a[i].final_world, b[i].final_world) << "record " << i;
+    }
+    EXPECT_EQ(a[i].config.genome, b[i].config.genome) << "record " << i;
+    EXPECT_EQ(a[i].config.hparams, b[i].config.hparams) << "record " << i;
+  }
 }
 
 TEST(SvcGolden, LoadsCommittedV1Checkpoint) {
-  expect_golden_loads("svc_golden_v1.ckpt");
+  expect_golden_loads("svc_golden_v1.ckpt", "agebo");
 }
 
 TEST(SvcGolden, LoadsCommittedV1ShardedCheckpoint) {
-  expect_golden_loads("svc_golden_v1_sharded.ckpt");
+  expect_golden_loads("svc_golden_v1_sharded.ckpt", "agebo-d2");
 }
 
 }  // namespace
