@@ -6,46 +6,31 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/state_io.hpp"
+
 namespace agebo::bo {
 
 namespace {
 
+constexpr const char* kWhat = "ShardedBo::load_state";
+
 [[noreturn]] void bad_state(const std::string& detail) {
-  throw std::runtime_error("ShardedBo::load_state: " + detail);
+  state::fail(kWhat, detail);
 }
 
-void write_rng_state(std::ostream& os, const Rng::State& st) {
-  os << st.s[0] << ' ' << st.s[1] << ' ' << st.s[2] << ' ' << st.s[3] << ' '
-     << st.cached_normal << ' ' << (st.has_cached_normal ? 1 : 0);
-}
-
-Rng::State read_rng_state(std::istream& is) {
-  Rng::State st;
-  int has = 0;
-  if (!(is >> st.s[0] >> st.s[1] >> st.s[2] >> st.s[3] >> st.cached_normal >>
-        has)) {
-    bad_state("truncated rng state");
-  }
-  st.has_cached_normal = has != 0;
-  return st;
-}
-
+/// One told observation: "<key> <objective> <n> v0 v1 ...".
 void write_item(std::ostream& os, const char* key, double objective,
                 const Point& p) {
-  os << key << ' ' << objective << ' ' << p.size();
-  for (const double v : p) os << ' ' << v;
+  os << key << ' ' << objective << ' ';
+  state::write_vector(os, p);
   os << '\n';
 }
 
 void read_item(std::istream& is, const char* key, double& objective,
                Point& point) {
-  std::string k;
-  std::size_t dims = 0;
-  if (!(is >> k >> objective >> dims) || k != key) bad_state("truncated tell");
-  point.assign(dims, 0.0);
-  for (double& v : point) {
-    if (!(is >> v)) bad_state("truncated tell point");
-  }
+  state::expect_key(is, key, kWhat);
+  if (!(is >> objective)) bad_state("truncated tell");
+  point = state::read_vector<double>(is, kWhat);
 }
 
 }  // namespace
@@ -163,8 +148,7 @@ void ShardedBo::save_state(std::ostream& os) const {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& s = *shards_[i];
     os << "shard " << i << '\n';
-    os << "rng ";
-    write_rng_state(os, s.opt.rng_state());
+    state::write_rng(os, "rng", s.opt.rng_state());
     os << '\n';
     const auto& points = s.opt.tell_log_points();
     const auto& objectives = s.opt.tell_log_objectives();
@@ -180,8 +164,7 @@ void ShardedBo::save_state(std::ostream& os) const {
     for (const std::size_t c : s.consumed) os << ' ' << c;
     os << '\n';
     os << "since " << s.since_gossip << '\n';
-    os << "grng ";
-    write_rng_state(os, s.gossip_rng.state());
+    state::write_rng(os, "grng", s.gossip_rng.state());
     os << '\n';
     const auto fit = s.opt.incremental_state();
     os << "fits " << fit.trees.size();
@@ -192,56 +175,42 @@ void ShardedBo::save_state(std::ostream& os) const {
 }
 
 void ShardedBo::load_state(std::istream& is) {
-  std::string key;
-  if (!(is >> key) || key != "sharded-bo") bad_state("bad header");
-  if (!(is >> key) || key != "v1") bad_state("unsupported version");
-  std::size_t n_shards = 0, gossip_every = 0, fanout = 0;
-  if (!(is >> key >> n_shards >> gossip_every >> fanout) || key != "config") {
-    bad_state("missing config");
-  }
+  state::expect_key(is, "sharded-bo", kWhat);
+  state::expect_key(is, "v1", kWhat);
+  const std::size_t n_shards = state::read_count(is, "config", kWhat);
+  std::size_t gossip_every = 0, fanout = 0;
+  if (!(is >> gossip_every >> fanout)) bad_state("truncated config");
   if (n_shards != shards_.size() || gossip_every != cfg_.gossip_every ||
       fanout != cfg_.gossip_fanout) {
     bad_state("checkpoint was written by a differently-configured ShardedBo");
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = *shards_[i];
-    std::size_t idx = 0;
-    if (!(is >> key >> idx) || key != "shard" || idx != i) {
+    if (state::read_count(is, "shard", kWhat) != i) {
       bad_state("missing shard " + std::to_string(i));
     }
-    if (!(is >> key) || key != "rng") bad_state("missing rng");
-    const Rng::State rng = read_rng_state(is);
-    std::size_t n_tells = 0;
-    if (!(is >> key >> n_tells) || key != "tells") bad_state("missing tells");
+    const Rng::State rng = state::read_rng(is, "rng", kWhat);
+    const std::size_t n_tells = state::read_count(is, "tells", kWhat);
     std::vector<Point> points(n_tells);
     std::vector<double> objectives(n_tells);
     for (std::size_t t = 0; t < n_tells; ++t) {
       read_item(is, "t", objectives[t], points[t]);
     }
     s.opt.restore(points, objectives, rng);
-    std::size_t n_local = 0;
-    if (!(is >> key >> n_local) || key != "local") bad_state("missing local");
-    s.local_log.assign(n_local, {});
+    s.local_log.assign(state::read_count(is, "local", kWhat), {});
     for (TellItem& item : s.local_log) {
       read_item(is, "l", item.objective, item.point);
     }
-    std::size_t n_consumed = 0;
-    if (!(is >> key >> n_consumed) || key != "consumed" ||
-        n_consumed != shards_.size()) {
-      bad_state("missing consumed");
+    if (state::read_count(is, "consumed", kWhat) != shards_.size()) {
+      bad_state("consumed count does not match the shard count");
     }
     for (std::size_t& c : s.consumed) {
       if (!(is >> c)) bad_state("truncated consumed");
     }
-    if (!(is >> key >> s.since_gossip) || key != "since") {
-      bad_state("missing since");
-    }
-    if (!(is >> key) || key != "grng") bad_state("missing grng");
-    s.gossip_rng.set_state(read_rng_state(is));
-    std::size_t n_fits = 0;
-    if (!(is >> key >> n_fits) || key != "fits") bad_state("missing fits");
+    s.since_gossip = state::read_count(is, "since", kWhat);
+    s.gossip_rng.set_state(state::read_rng(is, "grng", kWhat));
     AskTellOptimizer::IncrementalFitState fit;
-    fit.trees.assign(n_fits, {0, 0});
+    fit.trees.assign(state::read_count(is, "fits", kWhat), {0, 0});
     for (auto& [end, salt] : fit.trees) {
       if (!(is >> end >> salt)) bad_state("truncated fits");
     }

@@ -1,10 +1,8 @@
-#include "core/state_io.hpp"
+#include "common/state_io.hpp"
 
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
-namespace agebo::core::state {
+namespace agebo::state {
 
 void fail(const std::string& what, const std::string& detail) {
   throw std::runtime_error(what + ": " + detail);
@@ -38,43 +36,15 @@ bool read_flag(std::istream& is, const char* key, const std::string& what) {
 std::string encode_token(const std::string& s) { return s.empty() ? "-" : s; }
 std::string decode_token(const std::string& s) { return s == "-" ? "" : s; }
 
-void write_genome(std::ostream& os, const nas::Genome& genome) {
-  os << genome.size();
-  for (const int v : genome) os << ' ' << v;
+void write_rng(std::ostream& os, const char* key, const Rng::State& st) {
+  os << key << ' ' << st.s[0] << ' ' << st.s[1] << ' ' << st.s[2] << ' '
+     << st.s[3] << ' ' << st.cached_normal << ' '
+     << (st.has_cached_normal ? 1 : 0);
 }
 
-nas::Genome read_genome(std::istream& is, const std::string& what) {
-  std::size_t n = 0;
-  if (!(is >> n)) fail(what, "bad genome length");
-  nas::Genome g(n, 0);
-  for (int& v : g) {
-    if (!(is >> v)) fail(what, "truncated genome");
-  }
-  return g;
-}
-
-void write_point(std::ostream& os, const bo::Point& point) {
-  os << point.size();
-  for (const double v : point) os << ' ' << v;
-}
-
-bo::Point read_point(std::istream& is, const std::string& what) {
-  std::size_t n = 0;
-  if (!(is >> n)) fail(what, "bad point length");
-  bo::Point p(n, 0.0);
-  for (double& v : p) {
-    if (!(is >> v)) fail(what, "truncated point");
-  }
-  return p;
-}
-
-void write_rng(std::ostream& os, const Rng::State& st) {
-  os << "rng " << st.s[0] << ' ' << st.s[1] << ' ' << st.s[2] << ' ' << st.s[3]
-     << ' ' << st.cached_normal << ' ' << (st.has_cached_normal ? 1 : 0);
-}
-
-Rng::State read_rng(std::istream& is, const std::string& what) {
-  expect_key(is, "rng", what);
+Rng::State read_rng(std::istream& is, const char* key,
+                    const std::string& what) {
+  expect_key(is, key, what);
   Rng::State st;
   int has = 0;
   if (!(is >> st.s[0] >> st.s[1] >> st.s[2] >> st.s[3] >> st.cached_normal >>
@@ -85,4 +55,4 @@ Rng::State read_rng(std::istream& is, const std::string& what) {
   return st;
 }
 
-}  // namespace agebo::core::state
+}  // namespace agebo::state

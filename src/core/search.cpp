@@ -7,7 +7,7 @@
 #include <unordered_map>
 
 #include "core/history_io.hpp"
-#include "core/state_io.hpp"
+#include "common/state_io.hpp"
 #include "obs/span.hpp"
 
 namespace agebo::core {
@@ -372,9 +372,9 @@ void write_ticket(std::ostream& os, const EvalTicket& t) {
   os << "ticket " << t.ticket << ' ' << t.fidelity << ' ' << t.width << ' '
      << t.timeout_seconds << ' ' << t.max_retries << ' '
      << state::encode_token(t.tag) << ' ';
-  state::write_point(os, t.config.hparams);
+  state::write_vector(os, t.config.hparams);
   os << ' ';
-  state::write_genome(os, t.config.genome);
+  state::write_vector(os, t.config.genome);
   os << '\n';
 }
 
@@ -387,8 +387,8 @@ EvalTicket read_ticket(std::istream& is, const std::string& what) {
     state::fail(what, "truncated ticket");
   }
   t.tag = state::decode_token(tag);
-  t.config.hparams = state::read_point(is, what);
-  t.config.genome = state::read_genome(is, what);
+  t.config.hparams = state::read_vector<double>(is, what);
+  t.config.genome = state::read_vector<int>(is, what);
   return t;
 }
 
@@ -402,7 +402,7 @@ void AgeboSearch::save_state(std::ostream& os) const {
      << (cfg_.replacement == Replacement::kAging ? 0 : 1) << ' '
      << (cfg_.random_search ? 1 : 0) << ' ' << cfg_.hp_space.size() << ' '
      << cfg_.wall_time_seconds << '\n';
-  state::write_rng(os, rng_.state());
+  state::write_rng(os, "rng", rng_.state());
   os << '\n';
   os << "best " << best_so_far_ << '\n';
   os << "next-ticket " << next_ticket_ << '\n';
@@ -410,7 +410,7 @@ void AgeboSearch::save_state(std::ostream& os) const {
   os << "population " << population_.size() << '\n';
   for (const Member& m : population_) {
     os << "member " << m.objective << ' ';
-    state::write_genome(os, m.genome);
+    state::write_vector(os, m.genome);
     os << '\n';
   }
   os << "history " << history_.size() << '\n';
@@ -464,7 +464,7 @@ void AgeboSearch::load_state(std::istream& is) {
       hp_dims != cfg_.hp_space.size() || wall != cfg_.wall_time_seconds) {
     state::fail(what, "checkpoint was written by a differently-configured search");
   }
-  rng_.set_state(state::read_rng(is, what));
+  rng_.set_state(state::read_rng(is, "rng", what));
   state::expect_key(is, "best", what);
   if (!(is >> best_so_far_)) state::fail(what, "truncated best");
   state::expect_key(is, "next-ticket", what);
@@ -477,7 +477,7 @@ void AgeboSearch::load_state(std::istream& is) {
     state::expect_key(is, "member", what);
     Member m;
     if (!(is >> m.objective)) state::fail(what, "truncated member");
-    m.genome = state::read_genome(is, what);
+    m.genome = state::read_vector<int>(is, what);
     space_->validate(m.genome);
     population_.push_back(std::move(m));
   }
@@ -509,7 +509,7 @@ void AgeboSearch::load_state(std::istream& is) {
     if (!bo_ || bo_->shards() != 1) {
       state::fail(what, "BO flag mismatch with this search's config");
     }
-    const Rng::State bo_rng = state::read_rng(is, what);
+    const Rng::State bo_rng = state::read_rng(is, "rng", what);
     const std::size_t n_tells = state::read_count(is, "tells", what);
     std::vector<bo::Point> points;
     std::vector<double> objectives;
@@ -520,7 +520,7 @@ void AgeboSearch::load_state(std::istream& is) {
       double obj = 0.0;
       if (!(is >> obj)) state::fail(what, "truncated tell");
       objectives.push_back(obj);
-      points.push_back(state::read_point(is, what));
+      points.push_back(state::read_vector<double>(is, what));
     }
     bo_->restore_one_shard(points, objectives, bo_rng);
     ticket_shard_.clear();

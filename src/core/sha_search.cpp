@@ -9,7 +9,7 @@
 
 #include "common/stats.hpp"
 #include "core/history_io.hpp"
-#include "core/state_io.hpp"
+#include "common/state_io.hpp"
 
 namespace agebo::core {
 
@@ -204,7 +204,7 @@ void ShaJointSearch::save_state(std::ostream& os) const {
   os << "fingerprint " << cfg_.bracket_size << ' ' << cfg_.eta << ' '
      << cfg_.rungs << ' ' << cfg_.hp_space.size() << ' '
      << cfg_.wall_time_seconds << '\n';
-  state::write_rng(os, rng_.state());
+  state::write_rng(os, "rng", rng_.state());
   os << '\n';
   os << "next-ticket " << next_ticket_ << '\n';
   os << "started " << (started_ ? 1 : 0) << '\n';
@@ -214,9 +214,9 @@ void ShaJointSearch::save_state(std::ostream& os) const {
   os << "survivors " << survivors_.size() << '\n';
   for (const auto& config : survivors_) {
     os << "config ";
-    state::write_point(os, config.hparams);
+    state::write_vector(os, config.hparams);
     os << ' ';
-    state::write_genome(os, config.genome);
+    state::write_vector(os, config.genome);
     os << '\n';
   }
   os << "scores " << scores_.size();
@@ -232,9 +232,9 @@ void ShaJointSearch::save_state(std::ostream& os) const {
   for (const auto& [id, t] : outstanding_) {
     os << "ticket " << id << ' ' << ticket_index_.at(id) << ' ' << t.fidelity
        << ' ' << state::encode_token(t.tag) << ' ';
-    state::write_point(os, t.config.hparams);
+    state::write_vector(os, t.config.hparams);
     os << ' ';
-    state::write_genome(os, t.config.genome);
+    state::write_vector(os, t.config.genome);
     os << '\n';
   }
 }
@@ -258,7 +258,7 @@ void ShaJointSearch::load_state(std::istream& is) {
       hp_dims != cfg_.hp_space.size() || wall != cfg_.wall_time_seconds) {
     state::fail(what, "checkpoint was written by a differently-configured search");
   }
-  rng_.set_state(state::read_rng(is, what));
+  rng_.set_state(state::read_rng(is, "rng", what));
   state::expect_key(is, "next-ticket", what);
   if (!(is >> next_ticket_)) state::fail(what, "truncated next-ticket");
   started_ = state::read_flag(is, "started", what);
@@ -273,8 +273,8 @@ void ShaJointSearch::load_state(std::istream& is) {
   for (std::size_t i = 0; i < n_survivors; ++i) {
     state::expect_key(is, "config", what);
     eval::ModelConfig config;
-    config.hparams = state::read_point(is, what);
-    config.genome = state::read_genome(is, what);
+    config.hparams = state::read_vector<double>(is, what);
+    config.genome = state::read_vector<int>(is, what);
     space_->validate(config.genome);
     survivors_.push_back(std::move(config));
   }
@@ -308,8 +308,8 @@ void ShaJointSearch::load_state(std::istream& is) {
       state::fail(what, "truncated ticket");
     }
     t.tag = state::decode_token(tag);
-    t.config.hparams = state::read_point(is, what);
-    t.config.genome = state::read_genome(is, what);
+    t.config.hparams = state::read_vector<double>(is, what);
+    t.config.genome = state::read_vector<int>(is, what);
     ticket_index_.emplace(t.ticket, idx);
     const std::uint64_t id = t.ticket;
     outstanding_.emplace(id, std::move(t));

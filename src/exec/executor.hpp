@@ -21,7 +21,10 @@
 // straggler rule (kill-and-resubmit past k× the running median train
 // time) from their RetryPolicy. A job is reported through get_finished
 // exactly once: either the first successful attempt, or a failed=true
-// record once every attempt crashed or was killed.
+// record once every attempt crashed or was killed. That policy is one
+// state machine, AttemptLifecycle (exec/attempt_lifecycle.hpp), owned by
+// each executor; the executors themselves keep only dispatch and the
+// clock.
 #pragma once
 
 #include <algorithm>
@@ -101,14 +104,6 @@ struct RetryPolicy {
   double backoff_max_seconds = 60.0;
   double straggler_factor = 0.0;
   std::size_t straggler_min_samples = 5;
-  /// Fractional backoff jitter in [0, 1]: each retry delay is scaled by a
-  /// factor drawn uniformly from [1 - jitter, 1 + jitter]. The draw is a
-  /// STATELESS hash of (jitter_seed, job_id, attempt) — never a global RNG
-  /// — so a faulted campaign replays byte-identically under --retries and
-  /// a resumed checkpoint recomputes the exact same delays. 0 = no jitter
-  /// (the historical behavior and the default).
-  double backoff_jitter = 0.0;
-  std::uint64_t jitter_seed = 0;
 };
 
 /// Backoff delay before resubmitting attempt `attempt`+1 after failed
@@ -122,7 +117,8 @@ inline double backoff_delay(const RetryPolicy& policy, std::size_t attempt) {
 /// Kill deadline (seconds after the attempt starts) for one attempt of a
 /// job, or +inf: the job's own timeout, tightened by the straggler rule
 /// once `sorted_durations` (successful attempt durations, ascending) holds
-/// straggler_min_samples entries. Both executors enforce this one rule.
+/// straggler_min_samples entries. AttemptLifecycle::limit applies it for
+/// both executors.
 inline double attempt_limit(const RetryPolicy& policy, const JobSpec& spec,
                             const std::vector<double>& sorted_durations) {
   double limit = std::numeric_limits<double>::infinity();
@@ -135,40 +131,6 @@ inline double attempt_limit(const RetryPolicy& policy, const JobSpec& spec,
     limit = std::min(limit, policy.straggler_factor * median);
   }
   return limit;
-}
-
-/// Record one successful attempt duration, keeping `sorted_durations`
-/// ascending for attempt_limit's running median.
-inline void record_duration(std::vector<double>& sorted_durations,
-                            double seconds) {
-  sorted_durations.insert(std::lower_bound(sorted_durations.begin(),
-                                           sorted_durations.end(), seconds),
-                          seconds);
-}
-
-/// Jittered backoff delay for a specific job. Deterministic: the jitter
-/// factor is a pure function of (policy.jitter_seed, job_id, attempt), so
-/// every replay of the same campaign sees the same delays regardless of
-/// thread scheduling. With policy.backoff_jitter == 0 this is exactly
-/// backoff_delay(policy, attempt).
-inline double backoff_delay_jittered(const RetryPolicy& policy,
-                                     std::size_t attempt,
-                                     std::uint64_t job_id) {
-  const double base = backoff_delay(policy, attempt);
-  if (policy.backoff_jitter <= 0.0) return base;
-  // splitmix64 finalizer (same mix as FaultInjector's stateless draws).
-  auto mix64 = [](std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  };
-  const std::uint64_t h =
-      mix64(mix64(policy.jitter_seed ^ 0x6a697474ULL) ^ mix64(job_id) ^
-            mix64(static_cast<std::uint64_t>(attempt)));
-  const double u = static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
-  const double jitter = std::min(1.0, policy.backoff_jitter);
-  return base * (1.0 + jitter * (2.0 * u - 1.0));
 }
 
 struct Utilization {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <thread>
+#include <utility>
 
 #include "obs/span.hpp"
 
@@ -27,21 +28,11 @@ void interruptible_sleep(double seconds, const std::atomic<bool>& cancel,
 LiveExecutor::LiveExecutor(std::size_t n_workers, RetryPolicy policy,
                            FaultConfig faults)
     : start_(std::chrono::steady_clock::now()),
-      policy_(policy),
       injector_(faults),
       shutdown_(std::make_shared<std::atomic<bool>>(false)),
-      pool_(n_workers) {
-  auto& reg = obs::Registry::global();
-  m_submitted_ = reg.counter("exec.jobs_submitted");
-  m_attempts_ = reg.counter("exec.attempts");
-  m_retries_ = reg.counter("exec.retries");
-  m_kills_ = reg.counter("exec.straggler_kills");
-  m_failed_ = reg.counter("exec.jobs_failed");
-  m_succeeded_ = reg.counter("exec.jobs_succeeded");
-  m_busy_ = reg.dcounter("exec.busy_seconds");
-  m_in_flight_ = reg.gauge("exec.in_flight");
-  busy_baseline_ = m_busy_.total();
-}
+      lifecycle_(policy),
+      m_in_flight_(obs::Registry::global().gauge("exec.in_flight")),
+      pool_(n_workers) {}
 
 LiveExecutor::~LiveExecutor() {
   shutdown_->store(true);
@@ -85,7 +76,7 @@ void LiveExecutor::start_attempt_locked(std::uint64_t id, double delay_seconds) 
     cv_.notify_all();
 
     const double t0 = now();
-    m_attempts_.inc();
+    lifecycle_.begin();
     EvalOutput out;
     {
       OBS_SPAN("exec.attempt", {{"job", std::to_string(id)},
@@ -113,7 +104,7 @@ void LiveExecutor::start_attempt_locked(std::uint64_t id, double delay_seconds) 
       }
     }
     const double t1 = now();
-    m_busy_.add(t1 - t0);
+    lifecycle_.add_busy(t1 - t0);
     // Tenant accounting mirrors exec.busy_seconds exactly: killed and
     // retried attempts consumed real worker time, so they count.
     tenant_busy.add(t1 - t0);
@@ -124,28 +115,9 @@ void LiveExecutor::start_attempt_locked(std::uint64_t id, double delay_seconds) 
       if (it == jobs_.end() || it->second.cancel != token || token->load()) {
         return;  // attempt was killed while running: result dropped
       }
-      Job& j = it->second;
       if (out.train_seconds <= 0.0) out.train_seconds = t1 - t0;
-      if (!out.failed) {
-        record_duration(done_durations_, t1 - t0);
-        finished_.push_back(Finished{id, out, t1, j.attempt, j.spec.tag});
-        jobs_.erase(it);
-        m_succeeded_.inc();
-        m_in_flight_.set(static_cast<double>(jobs_.size()));
-      } else if (j.attempt <= j.spec.max_retries) {
-        const double backoff = backoff_delay_jittered(policy_, j.attempt, id);
-        j.attempt += 1;
-        j.started = false;
-        j.cancel = std::make_shared<std::atomic<bool>>(false);
-        start_attempt_locked(id, backoff);
-        m_retries_.inc();
-      } else {
-        out.objective = 0.0;
-        finished_.push_back(Finished{id, out, t1, j.attempt, j.spec.tag});
-        jobs_.erase(it);
-        m_failed_.inc();
-        m_in_flight_.set(static_cast<double>(jobs_.size()));
-      }
+      const Ending how = out.failed ? Ending::kFailed : Ending::kSucceeded;
+      end_attempt_locked(id, how, std::move(out), t1 - t0, t1);
     }
     cv_.notify_all();
   });
@@ -159,17 +131,31 @@ std::uint64_t LiveExecutor::submit(EvalFn fn, const JobSpec& spec) {
     Job job;
     job.fn = std::make_shared<const EvalFn>(std::move(fn));
     job.spec = spec;
-    if (!spec.tenant.empty()) {
-      job.tenant_busy =
-          obs::Registry::global().dcounter(tenant_busy_metric(spec.tenant));
-    }
+    job.tenant_busy = lifecycle_.admit(spec);
     job.cancel = std::make_shared<std::atomic<bool>>(false);
     jobs_.emplace(id, std::move(job));
     start_attempt_locked(id, 0.0);
-    m_submitted_.inc();
     m_in_flight_.set(static_cast<double>(jobs_.size()));
   }
   return id;
+}
+
+void LiveExecutor::end_attempt_locked(std::uint64_t id, Ending how,
+                                      EvalOutput out, double consumed,
+                                      double t) {
+  Job& job = jobs_.at(id);
+  Verdict verdict = lifecycle_.end(id, job.attempt, job.spec, how,
+                                   std::move(out), consumed, t);
+  if (verdict.retry) {
+    job.attempt += 1;
+    job.started = false;
+    job.cancel = std::make_shared<std::atomic<bool>>(false);
+    start_attempt_locked(id, verdict.backoff);
+    return;
+  }
+  finished_.push_back(std::move(verdict.finished));
+  jobs_.erase(id);
+  m_in_flight_.set(static_cast<double>(jobs_.size()));
 }
 
 void LiveExecutor::reap_expired_locked() {
@@ -177,31 +163,13 @@ void LiveExecutor::reap_expired_locked() {
   std::vector<std::uint64_t> expired;
   for (const auto& [id, job] : jobs_) {
     if (!job.started || job.cancel->load()) continue;
-    const double limit = attempt_limit(policy_, job.spec, done_durations_);
-    if (t - job.start_time > limit) expired.push_back(id);
+    if (t - job.start_time > lifecycle_.limit(job.spec)) expired.push_back(id);
   }
   for (const std::uint64_t id : expired) {
     Job& job = jobs_.at(id);
     job.cancel->store(true);  // abandon the running attempt
-    m_kills_.inc();
-    if (job.attempt <= job.spec.max_retries) {
-      const double backoff = backoff_delay_jittered(policy_, job.attempt, id);
-      job.attempt += 1;
-      job.started = false;
-      job.cancel = std::make_shared<std::atomic<bool>>(false);
-      start_attempt_locked(id, backoff);
-      m_retries_.inc();
-    } else {
-      EvalOutput out;
-      out.failed = true;
-      out.timed_out = true;
-      out.objective = 0.0;
-      out.train_seconds = t - job.start_time;
-      finished_.push_back(Finished{id, out, t, job.attempt, job.spec.tag});
-      jobs_.erase(id);
-      m_failed_.inc();
-      m_in_flight_.set(static_cast<double>(jobs_.size()));
-    }
+    end_attempt_locked(id, Ending::kKilled, EvalOutput{}, t - job.start_time,
+                       t);
   }
 }
 
@@ -218,7 +186,7 @@ std::vector<Finished> LiveExecutor::get_finished(bool block) {
     for (const auto& [id, job] : jobs_) {
       (void)id;
       if (!job.started || job.cancel->load()) continue;
-      const double limit = attempt_limit(policy_, job.spec, done_durations_);
+      const double limit = lifecycle_.limit(job.spec);
       if (limit < std::numeric_limits<double>::infinity()) {
         next_deadline = std::min(next_deadline, job.start_time + limit);
       }
@@ -247,7 +215,7 @@ Utilization LiveExecutor::utilization() const {
   // executor's delta of the shared `exec.busy_seconds` obs counter.
   std::lock_guard<std::mutex> lock(mu_);
   Utilization u;
-  u.busy_worker_seconds = m_busy_.total() - busy_baseline_;
+  u.busy_worker_seconds = lifecycle_.busy_seconds();
   u.elapsed_seconds = now();
   u.workers = pool_.size();
   return u;

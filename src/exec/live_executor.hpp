@@ -1,16 +1,17 @@
 // Executor backed by a real thread pool; evaluations actually run. Used by
 // examples and integration tests to drive the full training path.
 //
-// Fault tolerance: timeouts and the straggler rule are enforced inside
-// get_finished (the manager loop of Algorithm 1 always sits there), which
-// wakes at the earliest in-flight deadline. Threads cannot be killed, so a
-// timed-out attempt is *abandoned*: its cancel token is set, its eventual
-// result is dropped, and the job is either resubmitted (bounded by
-// JobSpec::max_retries, after exponential backoff) or reported failed.
-// Injected hangs and slowdowns poll the cancel token, so the worker slot
-// comes back promptly; a real runaway closure keeps its pool thread busy
-// until it returns — exactly the straggler behaviour the policy exists to
-// bound.
+// What is its own is dispatch and the clock: pool threads run attempts,
+// cancel tokens abandon them, and get_finished waits on the wall clock for
+// the earliest in-flight deadline (the manager loop of Algorithm 1 always
+// sits there). Everything else — deadlines, retry-or-fail, backoff, the
+// job's record and the exec.* accounting — is the shared AttemptLifecycle
+// (exec/attempt_lifecycle.hpp). Threads cannot be killed, so a timed-out
+// attempt is *abandoned*: its cancel token is set, its eventual result is
+// dropped, and the lifecycle resubmits or fails the job. Injected hangs and
+// slowdowns poll the cancel token, so the worker slot comes back promptly;
+// a real runaway closure keeps its pool thread busy until it returns —
+// exactly the straggler behaviour the policy exists to bound.
 #pragma once
 
 #include <atomic>
@@ -20,7 +21,7 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "exec/executor.hpp"
+#include "exec/attempt_lifecycle.hpp"
 #include "exec/fault_injector.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/registry.hpp"
@@ -61,12 +62,14 @@ class LiveExecutor final : public Executor {
   /// Enqueue the current attempt of `id` after `delay_seconds` of backoff.
   /// Caller holds mu_.
   void start_attempt_locked(std::uint64_t id, double delay_seconds);
-  /// Kill attempts past their deadline; retry or report them. Caller holds
-  /// mu_.
+  /// Hand the current attempt of `id`, ended at time `t`, to the
+  /// lifecycle: resubmit the job or report it. Caller holds mu_.
+  void end_attempt_locked(std::uint64_t id, Ending how, EvalOutput out,
+                          double consumed, double t);
+  /// Kill attempts past their deadline. Caller holds mu_.
   void reap_expired_locked();
 
   std::chrono::steady_clock::time_point start_;
-  RetryPolicy policy_;
   FaultInjector injector_;
   /// Shared with attempt closures so injected hangs exit at destruction.
   std::shared_ptr<std::atomic<bool>> shutdown_;
@@ -76,21 +79,8 @@ class LiveExecutor final : public Executor {
   std::vector<Finished> finished_;
   std::uint64_t next_id_ = 1;
   std::unordered_map<std::uint64_t, Job> jobs_;
-  std::vector<double> done_durations_;  ///< sorted successful durations
-
-  // Shared executor metrics (same exec.* names as SimulatedExecutor, so
-  // live and simulated runs report through one code path). Busy time is
-  // the delta of the global `exec.busy_seconds` counter since
-  // construction.
-  obs::Counter m_submitted_;
-  obs::Counter m_attempts_;
-  obs::Counter m_retries_;
-  obs::Counter m_kills_;
-  obs::Counter m_failed_;
-  obs::Counter m_succeeded_;
-  obs::DCounter m_busy_;
+  AttemptLifecycle lifecycle_;  ///< guarded by mu_ (begin/add_busy aside)
   obs::Gauge m_in_flight_;
-  double busy_baseline_ = 0.0;
 
   /// Last member on purpose: its destructor joins the workers while every
   /// other field (mutex, maps, tokens) is still alive. (Declared first, it

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "common/state_io.hpp"
 #include "obs/span.hpp"
 
 namespace agebo::exec {
@@ -38,33 +39,13 @@ SimulatedExecutor::SimulatedExecutor(std::size_t n_workers,
                                      double job_overhead_seconds,
                                      RetryPolicy policy, FaultConfig faults)
     : job_overhead_(job_overhead_seconds),
-      policy_(policy),
+      lifecycle_(policy),
       injector_(faults),
       worker_free_at_(n_workers, 0.0) {
   if (n_workers == 0) throw std::invalid_argument("SimulatedExecutor: zero workers");
   if (job_overhead_seconds < 0.0) {
     throw std::invalid_argument("SimulatedExecutor: negative overhead");
   }
-  auto& reg = obs::Registry::global();
-  m_submitted_ = reg.counter("exec.jobs_submitted");
-  m_attempts_ = reg.counter("exec.attempts");
-  m_retries_ = reg.counter("exec.retries");
-  m_kills_ = reg.counter("exec.straggler_kills");
-  m_failed_ = reg.counter("exec.jobs_failed");
-  m_succeeded_ = reg.counter("exec.jobs_succeeded");
-  m_busy_ = reg.dcounter("exec.busy_seconds");
-  busy_baseline_ = m_busy_.total();
-}
-
-obs::DCounter& SimulatedExecutor::tenant_counter(const std::string& tenant) {
-  auto it = tenant_busy_.find(tenant);
-  if (it == tenant_busy_.end()) {
-    it = tenant_busy_
-             .emplace(tenant, obs::Registry::global().dcounter(
-                                  tenant_busy_metric(tenant)))
-             .first;
-  }
-  return it->second;
 }
 
 void SimulatedExecutor::claim_gang(std::size_t width) {
@@ -103,7 +84,7 @@ std::uint64_t SimulatedExecutor::submit(EvalFn fn, const JobSpec& spec) {
     throw std::invalid_argument("SimulatedExecutor: bad gang width");
   }
   const std::uint64_t id = next_id_++;
-  m_submitted_.inc();
+  const obs::DCounter tenant_busy = lifecycle_.admit(spec);
 
   EvalOutput base;
   try {
@@ -117,8 +98,7 @@ std::uint64_t SimulatedExecutor::submit(EvalFn fn, const JobSpec& spec) {
 
   // Resolve the attempt chain eagerly: each attempt claims its gang, pays
   // the launch overhead, and either completes, crashes, or is killed at
-  // its deadline; failed attempts retry after exponential backoff until
-  // the budget is exhausted.
+  // its deadline; the lifecycle decides whether the next one runs.
   double t_ready = clock_;
   for (std::size_t attempt = 1;; ++attempt) {
     const FaultKind fault = injector_.draw(id, attempt);
@@ -127,12 +107,17 @@ std::uint64_t SimulatedExecutor::submit(EvalFn fn, const JobSpec& spec) {
     if (fault == FaultKind::kHang) duration *= kHangFactor;
     if (fault == FaultKind::kSlow) duration *= injector_.config().slow_factor;
 
-    const double limit = attempt_limit(policy_, spec, done_durations_);
+    lifecycle_.begin();
+    const double limit = lifecycle_.limit(spec);
     const bool killed = duration > limit;
     const double consumed = std::min(duration, limit);
-    const bool attempt_failed =
-        base.failed || fault == FaultKind::kCrash || fault == FaultKind::kHang ||
-        killed;
+    Ending how = Ending::kSucceeded;
+    if (killed) {
+      how = Ending::kKilled;
+    } else if (base.failed || fault == FaultKind::kCrash ||
+               fault == FaultKind::kHang) {
+      how = Ending::kFailed;
+    }
 
     // Gang scheduling: claim the `width` earliest-free workers; the attempt
     // starts when the latest of them frees up (and not before t_ready), and
@@ -145,15 +130,10 @@ std::uint64_t SimulatedExecutor::submit(EvalFn fn, const JobSpec& spec) {
     }
     const double start = gang_free + job_overhead_;
     const double finish = start + consumed;
-    m_attempts_.inc();
-    if (killed) m_kills_.inc();
-    if (!spec.tenant.empty()) {
-      // Per-tenant accounting: every attempt's gang occupancy is the
-      // tenant's consumption, retries and kills included — quota
-      // enforcement should see what a job *cost*, not what it produced.
-      tenant_counter(spec.tenant)
-          .add(consumed * static_cast<double>(spec.width));
-    }
+    // Per-tenant accounting: every attempt's gang occupancy is the
+    // tenant's consumption, retries and kills included — quota
+    // enforcement should see what a job *cost*, not what it produced.
+    tenant_busy.add(consumed * static_cast<double>(spec.width));
     const char* status = attempt_status(fault, killed, base.failed);
     for (std::size_t i = 0; i < spec.width; ++i) {
       worker_free_at_[order[i]] = finish;
@@ -172,28 +152,15 @@ std::uint64_t SimulatedExecutor::submit(EvalFn fn, const JobSpec& spec) {
                         {"status", status}});
     }
 
-    if (!attempt_failed) {
-      EvalOutput out = base;
-      out.train_seconds = consumed;
-      record_duration(done_durations_, consumed);
-      events_.push(Event{finish, id, out, attempt, spec.tag});
-      m_succeeded_.inc();
+    EvalOutput out = how == Ending::kSucceeded ? base : EvalOutput{};
+    out.train_seconds = consumed;
+    Verdict verdict =
+        lifecycle_.end(id, attempt, spec, how, std::move(out), consumed, finish);
+    if (!verdict.retry) {
+      events_.push(std::move(verdict.finished));
       break;
     }
-    if (attempt <= spec.max_retries) {
-      t_ready = finish + backoff_delay_jittered(policy_, attempt, id);
-      m_retries_.inc();
-      continue;
-    }
-    // Retries exhausted: report one failed completion.
-    EvalOutput out;
-    out.failed = true;
-    out.timed_out = killed;
-    out.objective = 0.0;
-    out.train_seconds = consumed;
-    events_.push(Event{finish, id, out, attempt, spec.tag});
-    m_failed_.inc();
-    break;
+    t_ready = finish + verdict.backoff;
   }
   return id;
 }
@@ -215,7 +182,7 @@ void SimulatedExecutor::advance_busy_accounting(double old_clock) {
       ++i;
     }
   }
-  if (credited > 0.0) m_busy_.add(credited);
+  if (credited > 0.0) lifecycle_.add_busy(credited);
 }
 
 std::vector<Finished> SimulatedExecutor::get_finished(bool block) {
@@ -230,8 +197,7 @@ std::vector<Finished> SimulatedExecutor::get_finished(bool block) {
   clock_ = t;
   advance_busy_accounting(old_clock);
   while (!events_.empty() && events_.top().finish_time <= clock_) {
-    const Event& e = events_.top();
-    out.push_back(Finished{e.id, e.output, e.finish_time, e.attempts, e.tag});
+    out.push_back(events_.top());
     events_.pop();
   }
   return out;
@@ -243,7 +209,7 @@ Utilization SimulatedExecutor::utilization() const {
   // since construction (advance_busy_accounting clips intervals to the
   // clock exactly like the old query-time accounting did).
   Utilization u;
-  u.busy_worker_seconds = m_busy_.total() - busy_baseline_;
+  u.busy_worker_seconds = lifecycle_.busy_seconds();
   u.elapsed_seconds = clock_;
   u.workers = worker_free_at_.size();
   return u;
@@ -264,14 +230,10 @@ namespace {
 constexpr const char* kSimStateHeader = "sim-executor v2";
 constexpr const char* kSimStateHeaderV1 = "sim-executor v1";
 
-// Tags never contain whitespace (the service uses dotted names, SHA uses
-// "sha-rung-N"); an empty tag is written as "-" so every event line has a
-// fixed token count.
-std::string encode_tag(const std::string& tag) { return tag.empty() ? "-" : tag; }
-std::string decode_tag(const std::string& tag) { return tag == "-" ? "" : tag; }
+constexpr const char* kWhat = "SimulatedExecutor::load_state";
 
-[[noreturn]] void bad_state(const std::string& what) {
-  throw std::runtime_error("SimulatedExecutor::load_state: " + what);
+[[noreturn]] void bad_state(const std::string& detail) {
+  state::fail(kWhat, detail);
 }
 
 }  // namespace
@@ -281,11 +243,10 @@ bool SimulatedExecutor::save_state(std::ostream& os) const {
   os << kSimStateHeader << '\n';
   os << "clock " << clock_ << '\n';
   os << "next-id " << next_id_ << '\n';
-  os << "workers " << worker_free_at_.size();
-  for (const double t : worker_free_at_) os << ' ' << t;
-  os << '\n';
-  os << "durations " << done_durations_.size();
-  for (const double d : done_durations_) os << ' ' << d;
+  os << "workers ";
+  state::write_vector(os, worker_free_at_);
+  os << "\ndurations ";
+  state::write_vector(os, lifecycle_.durations());
   os << '\n';
   os << "pending-busy " << pending_busy_.size() << '\n';
   for (const PendingBusy& p : pending_busy_) {
@@ -296,12 +257,12 @@ bool SimulatedExecutor::save_state(std::ostream& os) const {
   auto events = events_;
   os << "events " << events.size() << '\n';
   while (!events.empty()) {
-    const Event& e = events.top();
+    const Finished& e = events.top();
     os << "event " << e.finish_time << ' ' << e.id << ' ' << e.attempts << ' '
        << e.output.objective << ' ' << e.output.train_seconds << ' '
        << (e.output.failed ? 1 : 0) << ' ' << (e.output.timed_out ? 1 : 0)
        << ' ' << (e.output.degraded ? 1 : 0) << ' ' << e.output.final_world
-       << ' ' << encode_tag(e.tag) << '\n';
+       << ' ' << state::encode_token(e.tag) << '\n';
     events.pop();
   }
   return true;
@@ -326,26 +287,20 @@ bool SimulatedExecutor::load_state(std::istream& is) {
   for (double& t : worker_free_at_) {
     if (!(is >> t)) bad_state("truncated worker free times");
   }
-  if (!(is >> key >> n) || key != "durations") bad_state("missing durations");
-  done_durations_.assign(n, 0.0);
-  for (double& d : done_durations_) {
-    if (!(is >> d)) bad_state("truncated durations");
-  }
-  if (!(is >> key >> n) || key != "pending-busy") {
-    bad_state("missing pending-busy");
-  }
+  state::expect_key(is, "durations", kWhat);
+  lifecycle_.restore_durations(state::read_vector<double>(is, kWhat));
   pending_busy_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = state::read_count(is, "pending-busy", kWhat); i > 0;
+       --i) {
     PendingBusy p{};
     if (!(is >> key >> p.start >> p.finish) || key != "busy") {
       bad_state("truncated pending-busy");
     }
     pending_busy_.push_back(p);
   }
-  if (!(is >> key >> n) || key != "events") bad_state("missing events");
   events_ = decltype(events_)();
-  for (std::size_t i = 0; i < n; ++i) {
-    Event e{};
+  for (std::size_t i = state::read_count(is, "events", kWhat); i > 0; --i) {
+    Finished e;
     int failed = 0;
     int timed_out = 0;
     int degraded = 0;
@@ -363,7 +318,7 @@ bool SimulatedExecutor::load_state(std::istream& is) {
     e.output.failed = failed != 0;
     e.output.timed_out = timed_out != 0;
     e.output.degraded = degraded != 0;
-    e.tag = decode_tag(tag);
+    e.tag = state::decode_token(tag);
     events_.push(std::move(e));
   }
   busy_intervals_.clear();  // resumed Gantt traces start at the resume point

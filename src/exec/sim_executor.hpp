@@ -12,24 +12,22 @@
 // eagerly. Per attempt, the FaultInjector may crash it (fails after half
 // its duration), hang it (runs ~forever until a timeout or the straggler
 // rule kills it), or slow it (duration × slow_factor). An attempt that
-// exceeds min(JobSpec::timeout_seconds, straggler limit) is killed at that
-// deadline; killed/crashed attempts are resubmitted after exponential
-// backoff until JobSpec::max_retries is exhausted, at which point one
-// failed=true completion is reported. Every attempt occupies its gang of
-// workers for the time it consumed, so retries and kills show up in
-// utilization and the trace export. Causality note: the straggler limit
-// uses the running median of successful attempt durations in *submission*
-// order (the eager-resolution equivalent of the median a live manager
-// would see); docs/simulation.md discusses the approximation.
+// exceeds its AttemptLifecycle::limit is killed at that deadline; the
+// shared lifecycle (exec/attempt_lifecycle.hpp) then decides retry-or-fail
+// and builds the job's record. What is the simulator's own is the gang
+// claim, the launch overhead, the virtual-time spans and the event queue:
+// every attempt occupies its gang for the time it consumed, so retries and
+// kills show up in utilization and the trace export. Causality note: the
+// straggler limit uses the running median of successful attempt durations
+// in *submission* order (the eager-resolution equivalent of the median a
+// live manager would see); docs/simulation.md discusses the approximation.
 #pragma once
 
 #include <iosfwd>
-#include <map>
 #include <queue>
 
-#include "exec/executor.hpp"
+#include "exec/attempt_lifecycle.hpp"
 #include "exec/fault_injector.hpp"
-#include "obs/registry.hpp"
 
 namespace agebo::exec {
 
@@ -67,16 +65,11 @@ class SimulatedExecutor final : public Executor {
   bool load_state(std::istream& is) override;
 
  private:
-  struct Event {
-    double finish_time;
-    std::uint64_t id;
-    EvalOutput output;
-    std::size_t attempts;
-    std::string tag;
-    bool operator>(const Event& o) const {
-      // Tie-break on id for determinism.
-      if (finish_time != o.finish_time) return finish_time > o.finish_time;
-      return id > o.id;
+  /// Completion order of resolved jobs; ties break on id for determinism.
+  struct Later {
+    bool operator()(const Finished& a, const Finished& b) const {
+      if (a.finish_time != b.finish_time) return a.finish_time > b.finish_time;
+      return a.id > b.id;
     }
   };
 
@@ -94,13 +87,11 @@ class SimulatedExecutor final : public Executor {
 
   double clock_ = 0.0;
   double job_overhead_ = 0.0;
-  RetryPolicy policy_;
+  AttemptLifecycle lifecycle_;
   FaultInjector injector_;
   std::uint64_t next_id_ = 1;
   std::vector<double> worker_free_at_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
-  /// Successful attempt durations, kept sorted for the running median.
-  std::vector<double> done_durations_;
+  std::priority_queue<Finished, std::vector<Finished>, Later> events_;
   /// One occupied worker-interval of a scheduled job; utilization clips
   /// each interval to [0, clock] so jobs scheduled past the horizon don't
   /// overcount, and the trace export reconstructs the Gantt chart.
@@ -122,22 +113,6 @@ class SimulatedExecutor final : public Executor {
   /// across submits so the hot path does not allocate).
   std::vector<std::size_t> gang_scratch_;
   std::vector<std::size_t> gang_order_scratch_;
-
-  // Shared executor metrics (exec.* names are common to the simulator and
-  // LiveExecutor). Counters are process-global and monotonic; utilization
-  // reports the busy-seconds delta since this executor's construction.
-  obs::Counter m_submitted_;
-  obs::Counter m_attempts_;
-  obs::Counter m_retries_;
-  obs::Counter m_kills_;
-  obs::Counter m_failed_;
-  obs::Counter m_succeeded_;
-  obs::DCounter m_busy_;
-  double busy_baseline_ = 0.0;
-  /// Per-tenant busy-seconds dcounters, created on first submission with a
-  /// JobSpec::tenant (handles cached; the registry owns the storage).
-  std::map<std::string, obs::DCounter> tenant_busy_;
-  obs::DCounter& tenant_counter(const std::string& tenant);
 };
 
 }  // namespace agebo::exec

@@ -74,7 +74,7 @@ class Campaign {
   core::SearchResult result() const;
   double wall_time_seconds() const { return spec_.wall_time_seconds; }
 
-  /// Checkpoint blob delegation (searcher dialect, core/state_io).
+  /// Checkpoint blob delegation (searcher dialect, common/state_io).
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 

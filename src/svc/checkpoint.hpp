@@ -9,7 +9,7 @@
 // intact — the property the crash-mid-campaign test relies on.
 //
 // The payload itself is assembled by CampaignRegistry::save_checkpoint
-// from the shared line-oriented state dialect (core/state_io): an executor
+// from the shared line-oriented state dialect (common/state_io): an executor
 // snapshot blob, per-tenant scheduler state, and one state blob per
 // campaign (AgeboSearch/ShaJointSearch::save_state). This header carries
 // only the framing + file plumbing, shared with tests.

@@ -4,7 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/state_io.hpp"
+#include "common/state_io.hpp"
 #include "exec/live_executor.hpp"
 #include "exec/sim_executor.hpp"
 #include "obs/span.hpp"
@@ -22,7 +22,7 @@ CampaignKind kind_from_token(const std::string& token,
                              const std::string& what) {
   if (token == "agebo") return CampaignKind::kAgebo;
   if (token == "sha") return CampaignKind::kSha;
-  core::state::fail(what, "bad campaign kind \"" + token + "\"");
+  state::fail(what, "bad campaign kind \"" + token + "\"");
 }
 
 }  // namespace
@@ -426,36 +426,36 @@ void CampaignRegistry::load_checkpoint(const std::string& path) {
   want_version.insert(want_version.begin(), 'v');
   if (!(is >> magic >> version) || magic != kCheckpointMagic ||
       version != want_version) {
-    core::state::fail(what, "bad magic/version line");
+    state::fail(what, "bad magic/version line");
   }
   std::size_t workers = 0;
-  core::state::expect_key(is, "workers", what);
-  if (!(is >> workers)) core::state::fail(what, "truncated workers");
-  const bool live = core::state::read_flag(is, "live", what);
+  state::expect_key(is, "workers", what);
+  if (!(is >> workers)) state::fail(what, "truncated workers");
+  const bool live = state::read_flag(is, "live", what);
   if (workers != cfg_.workers || live != cfg_.live) {
-    core::state::fail(what,
+    state::fail(what,
                       "checkpoint was written by a differently-configured "
                       "service (workers/live mismatch)");
   }
-  core::state::expect_key(is, "clock", what);
+  state::expect_key(is, "clock", what);
   double clock = 0.0;
-  if (!(is >> clock)) core::state::fail(what, "truncated clock");
+  if (!(is >> clock)) state::fail(what, "truncated clock");
 
-  const bool have_exec = core::state::read_flag(is, "executor-state", what);
+  const bool have_exec = state::read_flag(is, "executor-state", what);
   bool exec_restored = false;
   if (have_exec) {
     is >> std::ws;
     exec_restored = executor_->load_state(is);
   }
 
-  const std::size_t n_tenants = core::state::read_count(is, "tenants", what);
+  const std::size_t n_tenants = state::read_count(is, "tenants", what);
   for (std::size_t i = 0; i < n_tenants; ++i) {
-    core::state::expect_key(is, "tenant", what);
+    state::expect_key(is, "tenant", what);
     TenantSpec spec;
     double pass = 0.0, consumed = 0.0;
     if (!(is >> spec.name >> spec.priority >> spec.max_in_flight >>
           spec.node_seconds_budget >> pass >> consumed)) {
-      core::state::fail(what, "truncated tenant");
+      state::fail(what, "truncated tenant");
     }
     set_tenant(spec);
     Tenant& t = tenants_.at(spec.name);
@@ -464,50 +464,50 @@ void CampaignRegistry::load_checkpoint(const std::string& path) {
     t.busy_baseline = t.busy.total();  // future consumption is the delta
   }
 
-  const std::size_t n_campaigns = core::state::read_count(is, "campaigns", what);
+  const std::size_t n_campaigns = state::read_count(is, "campaigns", what);
   for (std::size_t i = 0; i < n_campaigns; ++i) {
-    core::state::expect_key(is, "campaign", what);
+    state::expect_key(is, "campaign", what);
     CampaignSpec spec;
     std::string kind;
     if (!(is >> spec.name >> spec.tenant >> kind >> spec.dataset >>
           spec.variant >> spec.wall_time_seconds >> spec.seed >> spec.kappa >>
           spec.timeout_seconds >> spec.max_retries >> spec.sha_bracket >>
           spec.sha_eta >> spec.sha_rungs)) {
-      core::state::fail(what, "truncated campaign spec");
+      state::fail(what, "truncated campaign spec");
     }
     spec.kind = kind_from_token(kind, what);
     // Optional elastic line (absent in pre-elastic checkpoints).
     is >> std::ws;
     if (is.peek() == 'e') {
-      core::state::expect_key(is, "elastic", what);
+      state::expect_key(is, "elastic", what);
       if (!(is >> spec.elastic_crash >> spec.elastic_seed >>
             spec.elastic_min_replicas)) {
-        core::state::fail(what, "truncated elastic spec");
+        state::fail(what, "truncated elastic spec");
       }
     }
     const std::size_t ci = add_campaign(spec);
     CampaignRt& rt = campaigns_[ci];
-    core::state::expect_key(is, "start-time", what);
-    if (!(is >> rt.start_time)) core::state::fail(what, "truncated start-time");
-    rt.done = core::state::read_flag(is, "done", what);
-    core::state::expect_key(is, "best", what);
-    if (!(is >> rt.best)) core::state::fail(what, "truncated best");
+    state::expect_key(is, "start-time", what);
+    if (!(is >> rt.start_time)) state::fail(what, "truncated start-time");
+    rt.done = state::read_flag(is, "done", what);
+    state::expect_key(is, "best", what);
+    if (!(is >> rt.best)) state::fail(what, "truncated best");
 
-    const std::size_t n_queue = core::state::read_count(is, "queue", what);
+    const std::size_t n_queue = state::read_count(is, "queue", what);
     for (std::size_t q = 0; q < n_queue; ++q) {
       std::uint64_t id = 0;
-      if (!(is >> id)) core::state::fail(what, "truncated queue");
+      if (!(is >> id)) state::fail(what, "truncated queue");
       rt.queue.push_back(id);
     }
-    const std::size_t n_jobs = core::state::read_count(is, "jobs", what);
+    const std::size_t n_jobs = state::read_count(is, "jobs", what);
     for (std::size_t j = 0; j < n_jobs; ++j) {
-      core::state::expect_key(is, "job", what);
+      state::expect_key(is, "job", what);
       std::uint64_t job = 0, ticket = 0;
-      if (!(is >> job >> ticket)) core::state::fail(what, "truncated job");
+      if (!(is >> job >> ticket)) state::fail(what, "truncated job");
       rt.jobs.emplace(job, ticket);
       job_owner_.emplace(job, ci);
     }
-    core::state::expect_key(is, "state", what);
+    state::expect_key(is, "state", what);
     is >> std::ws;
     rt.campaign->load_state(is);
   }

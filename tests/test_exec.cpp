@@ -1,16 +1,21 @@
-// Unit tests for src/exec: thread pool, live executor, and the event-driven
-// cluster simulator (queueing semantics, virtual clock, utilization).
-// Fault-path coverage (timeouts, retries, stragglers, injection) lives in
-// test_faults.cpp (ctest label: faults).
+// Unit tests for src/exec: thread pool, live executor, the event-driven
+// cluster simulator (queueing semantics, virtual clock, utilization) and
+// the attempt lifecycle both share, driven by a fake clock. Fault-path
+// coverage of the executors (timeouts, retries, stragglers, injection)
+// lives in test_faults.cpp; both files carry the ctest label faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
+#include "exec/attempt_lifecycle.hpp"
 #include "exec/live_executor.hpp"
 #include "exec/sim_executor.hpp"
 #include "exec/thread_pool.hpp"
+#include "obs/registry.hpp"
 
 namespace agebo::exec {
 namespace {
@@ -220,6 +225,95 @@ TEST(RetryPolicy, BackoffDoublesAndCaps) {
   EXPECT_DOUBLE_EQ(backoff_delay(policy, 3), 8.0);
   EXPECT_DOUBLE_EQ(backoff_delay(policy, 4), 10.0);  // capped
   EXPECT_DOUBLE_EQ(backoff_delay(policy, 9), 10.0);
+}
+
+// The lifecycle never reads a clock: a fake one (plain doubles) drives it.
+TEST(AttemptLifecycle, FakeClockDelaysAndLimitsFollowThePolicy) {
+  RetryPolicy policy;
+  policy.backoff_base_seconds = 2.0;
+  policy.backoff_max_seconds = 10.0;
+  policy.straggler_factor = 3.0;
+  policy.straggler_min_samples = 3;
+  auto& reg = obs::Registry::global();
+  const auto retries0 = reg.counter("exec.retries").total();
+  const auto kills0 = reg.counter("exec.straggler_kills").total();
+  const auto failed0 = reg.counter("exec.jobs_failed").total();
+  const auto succeeded0 = reg.counter("exec.jobs_succeeded").total();
+  AttemptLifecycle life(policy);
+  JobSpec spec;
+  spec.timeout_seconds = 100.0;
+  spec.max_retries = 4;
+  std::vector<double> sorted;
+  EXPECT_EQ(life.limit(spec), attempt_limit(policy, spec, sorted));
+
+  // Job 1 fails five times: four retries after backoff_delay, then its
+  // one failed record, stamped with the caller's time.
+  double now = 0.0;
+  for (std::size_t attempt = 1; attempt <= 4; ++attempt) {
+    now += 1.0;
+    const Verdict v =
+        life.end(1, attempt, spec, Ending::kFailed, EvalOutput{}, 1.0, now);
+    ASSERT_TRUE(v.retry);
+    EXPECT_EQ(v.backoff, backoff_delay(policy, attempt));
+  }
+  const Verdict failed = life.end(1, 5, spec, Ending::kFailed,
+                                  EvalOutput{0.7, 3.0, true}, 3.0, 42.0);
+  ASSERT_FALSE(failed.retry);
+  EXPECT_EQ(failed.finished.id, 1u);
+  EXPECT_EQ(failed.finished.attempts, 5u);
+  EXPECT_EQ(failed.finished.finish_time, 42.0);
+  EXPECT_TRUE(failed.finished.output.failed);
+  EXPECT_FALSE(failed.finished.output.timed_out);
+  EXPECT_EQ(failed.finished.output.objective, 0.0);
+  EXPECT_EQ(failed.finished.output.train_seconds, 3.0);
+
+  // Successes are the job's record and feed the straggler median.
+  std::uint64_t job = 2;
+  for (const double d : {9.0, 3.0, 6.0, 12.0}) {
+    now += d;
+    const Verdict v = life.end(job++, 1, spec, Ending::kSucceeded,
+                               EvalOutput{0.8, d, false}, d, now);
+    ASSERT_FALSE(v.retry);
+    EXPECT_EQ(v.finished.output.objective, 0.8);
+    EXPECT_EQ(v.finished.finish_time, now);
+    sorted.insert(std::lower_bound(sorted.begin(), sorted.end(), d), d);
+    EXPECT_EQ(life.durations(), sorted);
+    EXPECT_EQ(life.limit(spec), attempt_limit(policy, spec, sorted));
+  }
+  EXPECT_DOUBLE_EQ(life.limit(spec), 3.0 * 7.5);  // median of 3, 6, 9, 12
+
+  // A kill with no budget left is a fresh timed-out record of the time
+  // consumed, whatever the attempt's output said; kills never enter the
+  // median.
+  const Verdict killed = life.end(9, 1, JobSpec{}, Ending::kKilled,
+                                  EvalOutput{0.9, 50.0, false}, 22.5, 100.0);
+  ASSERT_FALSE(killed.retry);
+  EXPECT_TRUE(killed.finished.output.failed);
+  EXPECT_TRUE(killed.finished.output.timed_out);
+  EXPECT_EQ(killed.finished.output.objective, 0.0);
+  EXPECT_EQ(killed.finished.output.train_seconds, 22.5);
+  EXPECT_EQ(life.durations(), sorted);
+
+  EXPECT_EQ(reg.counter("exec.retries").total() - retries0, 4u);
+  EXPECT_EQ(reg.counter("exec.straggler_kills").total() - kills0, 1u);
+  EXPECT_EQ(reg.counter("exec.jobs_failed").total() - failed0, 2u);
+  EXPECT_EQ(reg.counter("exec.jobs_succeeded").total() - succeeded0, 4u);
+}
+
+TEST(AttemptLifecycle, AdmitResolvesOneTenantHandle) {
+  AttemptLifecycle life(RetryPolicy{});
+  auto& reg = obs::Registry::global();
+  const auto submitted0 = reg.counter("exec.jobs_submitted").total();
+  const obs::DCounter metric =
+      reg.dcounter(tenant_busy_metric("lifecycle-test"));
+  const double before = metric.total();
+  JobSpec spec;
+  spec.tenant = "lifecycle-test";
+  life.admit(spec).add(1.5);
+  life.admit(spec).add(2.0);
+  life.admit(JobSpec{}).add(4.0);  // default tenant: a null handle
+  EXPECT_DOUBLE_EQ(metric.total() - before, 3.5);
+  EXPECT_EQ(reg.counter("exec.jobs_submitted").total() - submitted0, 3u);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // exercised against BOTH the simulator and the live thread-pool executor.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -17,6 +19,7 @@
 #include "exec/live_executor.hpp"
 #include "exec/sim_executor.hpp"
 #include "nas/search_space.hpp"
+#include "obs/registry.hpp"
 
 namespace agebo {
 namespace {
@@ -164,75 +167,6 @@ TEST(SimFaults, RetryExhaustionBoundsAttemptsAndBacksOff) {
   EXPECT_EQ(finished[0].attempts, 3u);  // 1 try + 2 retries, then give up
   // Attempts of 1s each with backoffs 1s then 2s: 1 +1+ 1 +2+ 1 = 6.
   EXPECT_DOUBLE_EQ(finished[0].finish_time, 6.0);
-}
-
-// --- Backoff jitter (satellite: decorrelate retry storms, stay replayable)
-
-TEST(RetryJitter, ZeroJitterMatchesLegacyBackoffExactly) {
-  RetryPolicy policy;
-  policy.backoff_base_seconds = 1.0;
-  policy.backoff_max_seconds = 60.0;
-  for (std::size_t attempt = 1; attempt <= 8; ++attempt) {
-    EXPECT_DOUBLE_EQ(exec::backoff_delay_jittered(policy, attempt, 7),
-                     exec::backoff_delay(policy, attempt));
-  }
-}
-
-TEST(RetryJitter, StatelessBoundedAndJobDependent) {
-  RetryPolicy policy;
-  policy.backoff_base_seconds = 2.0;
-  policy.backoff_max_seconds = 64.0;
-  policy.backoff_jitter = 0.5;
-  policy.jitter_seed = 123;
-  bool saw_distinct = false;
-  for (std::uint64_t job = 1; job <= 16; ++job) {
-    for (std::size_t attempt = 1; attempt <= 4; ++attempt) {
-      const double base = exec::backoff_delay(policy, attempt);
-      const double d = exec::backoff_delay_jittered(policy, attempt, job);
-      // Pure function of (seed, job, attempt): recomputing is bit-identical.
-      EXPECT_EQ(d, exec::backoff_delay_jittered(policy, attempt, job));
-      EXPECT_GE(d, base * 0.5);
-      EXPECT_LE(d, base * 1.5);
-      if (d != exec::backoff_delay_jittered(policy, attempt, job + 1)) {
-        saw_distinct = true;
-      }
-    }
-  }
-  // Jitter that never decorrelates jobs would defeat its purpose.
-  EXPECT_TRUE(saw_distinct);
-}
-
-TEST(RetryJitter, JitteredCampaignReplaysByteIdentically) {
-  const auto run = [] {
-    RetryPolicy policy;
-    policy.backoff_base_seconds = 1.0;
-    policy.backoff_max_seconds = 60.0;
-    policy.backoff_jitter = 0.4;
-    policy.jitter_seed = 77;
-    exec::SimulatedExecutor sim(2, 0.0, policy);
-    std::vector<double> finish;
-    for (int j = 0; j < 4; ++j) {
-      JobSpec spec;
-      spec.max_retries = 2;
-      sim.submit([]() -> EvalOutput { throw std::runtime_error("diverged"); },
-                 spec);
-    }
-    while (true) {
-      const auto finished = sim.get_finished(true);
-      if (finished.empty()) break;
-      for (const auto& f : finished) finish.push_back(f.finish_time);
-    }
-    return finish;
-  };
-  const auto a = run();
-  const auto b = run();
-  ASSERT_EQ(a.size(), 4u);
-  EXPECT_EQ(a, b);  // bitwise: jitter is hashed, never drawn from shared RNG
-  // And the delays genuinely differ from the unjittered schedule (6.0 with
-  // this policy — see RetryExhaustionBoundsAttemptsAndBacksOff).
-  bool any_moved = false;
-  for (const double t : a) any_moved = any_moved || t != 6.0;
-  EXPECT_TRUE(any_moved);
 }
 
 // --- Replica-scoped draws (elastic training's fault source) ---------------
@@ -463,6 +397,166 @@ TEST(LiveFaults, StragglerKilledPastMedianFactor) {
   ASSERT_EQ(finished.size(), 1u);
   EXPECT_TRUE(finished[0].output.failed);
   EXPECT_TRUE(finished[0].output.timed_out);
+}
+
+// --------------------------------------------------------------------------
+// Executor parity: one table of fault scenarios, run on both executors
+// through their shared attempt lifecycle. Scenario lengths are in units:
+// one virtual second in the simulator, 10 ms of wall time live.
+
+/// exec.jobs_submitted, attempts, retries, straggler_kills, jobs_failed
+/// and jobs_succeeded, in that order.
+using ExecCounters = std::array<std::uint64_t, 6>;
+
+ExecCounters read_exec_counters() {
+  static const char* const kNames[] = {
+      "exec.jobs_submitted", "exec.attempts",    "exec.retries",
+      "exec.straggler_kills", "exec.jobs_failed", "exec.jobs_succeeded"};
+  ExecCounters c{};
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    c[i] = obs::Registry::global().counter(kNames[i]).total();
+  }
+  return c;
+}
+
+struct ParityCase {
+  const char* name;
+  FaultConfig faults;
+  double straggler_factor;  ///< 0 = off; else 3 warm-up jobs of 2 units run first
+  double job_units;
+  bool throws;
+  double timeout_units;  ///< 0 = no timeout
+  std::size_t max_retries;
+  // Expected on both executors.
+  std::size_t attempts;
+  bool failed;
+  bool timed_out;
+  ExecCounters deltas;
+  /// Tenant busy time in units: exact in the simulator; a lower bound live,
+  /// where a killed attempt holds its worker at least until its deadline.
+  double sim_busy_units;
+  double live_min_busy_units;
+};
+
+FaultConfig crash_once() {
+  FaultConfig faults;
+  faults.crash_prob = 0.5;
+  faults.seed = seed_for_retry_success(faults, FaultKind::kCrash);
+  return faults;
+}
+
+FaultConfig always_hang() {
+  FaultConfig faults;
+  faults.hang_prob = 1.0;
+  faults.seed = 5;
+  return faults;
+}
+
+
+struct ParityOutcome {
+  exec::Finished finished;
+  ExecCounters deltas{};
+  double tenant_busy = 0.0;
+  double busy = 0.0;
+};
+
+ParityOutcome run_parity_case(const ParityCase& c, bool live) {
+  const double unit = live ? 0.01 : 1.0;
+  const auto job = [live, unit](double units, bool throws) -> exec::EvalFn {
+    return [live, unit, units, throws]() -> EvalOutput {
+      if (live) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(units * unit));
+      }
+      if (throws) throw std::runtime_error("diverged");
+      return EvalOutput{0.9, live ? 0.0 : units, false};
+    };
+  };
+  RetryPolicy policy;
+  policy.backoff_base_seconds = 0.5 * unit;
+  policy.backoff_max_seconds = 2.0 * unit;
+  policy.straggler_factor = c.straggler_factor;
+  policy.straggler_min_samples = 3;
+  JobSpec spec;
+  spec.timeout_seconds = c.timeout_units * unit;
+  spec.max_retries = c.max_retries;
+  spec.tenant = "parity";
+
+  auto& reg = obs::Registry::global();
+  const obs::DCounter tenant = reg.dcounter(exec::tenant_busy_metric("parity"));
+  const obs::DCounter busy = reg.dcounter("exec.busy_seconds");
+  ParityOutcome result;
+  ExecCounters before{};
+  double tenant0 = 0.0;
+  double busy0 = 0.0;
+  {
+    std::unique_ptr<exec::Executor> executor;
+    if (live) {
+      executor = std::make_unique<exec::LiveExecutor>(2, policy, c.faults);
+    } else {
+      executor = std::make_unique<exec::SimulatedExecutor>(2, 0.0, policy,
+                                                           c.faults);
+    }
+    if (c.straggler_factor > 0.0) {
+      for (int i = 0; i < 3; ++i) executor->submit(job(2.0, false), JobSpec{});
+      std::size_t got = 0;
+      while (got < 3) got += executor->get_finished(true).size();
+    }
+    before = read_exec_counters();
+    tenant0 = tenant.total();
+    busy0 = busy.total();
+    executor->submit(job(c.job_units, c.throws), spec);
+    const auto finished = executor->get_finished(true);
+    EXPECT_EQ(finished.size(), 1u);
+    if (!finished.empty()) result.finished = finished[0];
+    // Destruction joins the pool, so every abandoned live attempt has
+    // returned and credited its worker time before the counters are read.
+  }
+  const ExecCounters after = read_exec_counters();
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    result.deltas[i] = after[i] - before[i];
+  }
+  result.tenant_busy = (tenant.total() - tenant0) / unit;
+  result.busy = (busy.total() - busy0) / unit;
+  return result;
+}
+
+TEST(ExecutorParity, FaultScenariosBehaveTheSameOnBothExecutors) {
+  const ParityCase cases[] = {
+      // An injected crash consumes half the job in the simulator, ~0 live.
+      {"crash-then-retry", crash_once(), 0.0, 4.0, false, 0.0, 3,
+       2, false, false, {1, 2, 1, 0, 0, 1}, 6.0, 4.0},
+      // The simulator books a throwing evaluation as 1 s per attempt.
+      {"retry-exhaustion", FaultConfig{}, 0.0, 1.0, true, 0.0, 2,
+       3, true, false, {1, 3, 2, 0, 1, 0}, 3.0, 0.0},
+      {"job-timeout", FaultConfig{}, 0.0, 30.0, false, 5.0, 0,
+       1, true, true, {1, 1, 0, 1, 1, 0}, 5.0, 5.0},
+      // Warm-up median 2 units, factor 4: both attempts die at 8 units.
+      {"straggler-kill", FaultConfig{}, 4.0, 30.0, false, 0.0, 1,
+       2, true, true, {1, 2, 1, 2, 1, 0}, 16.0, 16.0},
+      // Live, a hung attempt returns once it sees its cancel token, just
+      // after its 5-unit deadline; the bound leaves a unit of slack.
+      {"hang-reclaimed-by-timeout", always_hang(), 0.0, 2.0, false, 5.0, 1,
+       2, true, true, {1, 2, 1, 2, 1, 0}, 10.0, 9.0},
+  };
+  for (const ParityCase& c : cases) {
+    for (const bool live : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (live ? " [live]" : " [sim]"));
+      const ParityOutcome got = run_parity_case(c, live);
+      EXPECT_EQ(got.finished.attempts, c.attempts);
+      EXPECT_EQ(got.finished.output.failed, c.failed);
+      EXPECT_EQ(got.finished.output.timed_out, c.timed_out);
+      EXPECT_EQ(got.deltas, c.deltas);
+      // Every attempt, killed and retried ones included, is charged to the
+      // tenant exactly as to exec.busy_seconds.
+      EXPECT_NEAR(got.tenant_busy, got.busy, 1e-9 * (1.0 + got.busy));
+      EXPECT_GT(got.tenant_busy, 0.0);
+      if (live) {
+        EXPECT_GE(got.tenant_busy, c.live_min_busy_units);
+      } else {
+        EXPECT_DOUBLE_EQ(got.tenant_busy, c.sim_busy_units);
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------------
